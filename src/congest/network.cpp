@@ -135,10 +135,11 @@ std::uint64_t Network::run_handlers(Algorithm& alg, std::uint64_t round,
     ctx.net_ = this;
     ctx.graph_ = graph_;
     ctx.round_ = round;
-    ctx.recv_ = &thread_recv_[worker];
-    ctx.wakeup_ = record_wakeups ? &thread_wakeup_[worker] : nullptr;
+    WorkerScratch& mine = worker_[worker];
+    ctx.recv_ = &mine.recv;
+    ctx.wakeup_ = record_wakeups ? &mine.wakeup : nullptr;
     ctx.notes_ = tf != nullptr ? tf->worker_notes(worker) : nullptr;
-    auto& scratch = inbox_scratch_[worker];
+    auto& scratch = mine.inbox;
     std::uint64_t stepped = 0;
     for (std::size_t i = begin; i < end; ++i) {
       const NodeId v = sweep == Sweep::kActiveList
@@ -226,9 +227,14 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
   const bool sparse = alg.event_driven() && !opts.force_dense;
   ThreadPool& pool = opts.pool != nullptr ? *opts.pool : ThreadPool::global();
   const std::size_t workers = pool.size();
-  thread_recv_.assign(workers, {});
-  thread_wakeup_.assign(workers, {});
-  inbox_scratch_.assign(workers, {});
+  // Clearing (not reallocating) keeps the lists' capacity for the next run
+  // of a pooled Network; it also drops whatever a throwing run left behind.
+  worker_.resize(workers);
+  for (WorkerScratch& w : worker_) {
+    w.recv.clear();
+    w.wakeup.clear();
+    w.inbox.clear();
+  }
 
   // Telemetry: the caller's recorder wins; an algorithm-carried one (e.g.
   // TraceRecorder's) is the fallback. kRounds records counters only — no
@@ -287,9 +293,10 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
     // pay the dedup branch that builds the active list.
     const std::uint64_t next = round + 1;
     std::size_t sent = 0, woken = 0;
-    for (const auto& list : thread_recv_) sent += list.size();
-    if (record_wakeups)
-      for (const auto& list : thread_wakeup_) woken += list.size();
+    for (const WorkerScratch& w : worker_) {
+      sent += w.recv.size();
+      woken += w.wakeup.size();  // empty unless record_wakeups
+    }
     messages_ += sent;
     in_flight = sent;
     std::uint64_t receivers = 0;  // unique message receivers (telemetry)
@@ -297,24 +304,24 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
     sweep_next = build_list ? Sweep::kActiveList : Sweep::kActiveScan;
     if (build_list) {
       active_.clear();
-      for (auto& list : thread_recv_) {
-        for (const NodeId to : list) {
+      for (WorkerScratch& w : worker_) {
+        for (const NodeId to : w.recv) {
           if (sched_stamp_[to] != next) {
             sched_stamp_[to] = next;
             active_.push_back(to);
             ++receivers;
           }
         }
-        list.clear();
+        w.recv.clear();
       }
-      for (auto& list : thread_wakeup_) {
-        for (const NodeId v : list) {
+      for (WorkerScratch& w : worker_) {
+        for (const NodeId v : w.wakeup) {
           if (sched_stamp_[v] != next) {
             sched_stamp_[v] = next;
             active_.push_back(v);
           }
         }
-        list.clear();
+        w.wakeup.clear();
       }
     } else if (opts.parallel && workers > 1 &&
                sent >= opts.parallel_stamp_threshold) {
@@ -332,7 +339,7 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
           workers, [&](std::size_t w, std::size_t begin, std::size_t end) {
             std::uint64_t mine = 0;
             for (std::size_t li = begin; li < end; ++li) {
-              for (const NodeId to : thread_recv_[li]) {
+              for (const NodeId to : worker_[li].recv) {
                 std::atomic_ref<std::uint64_t> stamp(sched_stamp_[to]);
                 if (!want_receivers) {
                   stamp.store(next, std::memory_order_relaxed);
@@ -348,36 +355,34 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
             }
             if (want_receivers) uniq[w] = mine;
           });
-      for (auto& list : thread_recv_) list.clear();
-      for (auto& list : thread_wakeup_) {
-        for (const NodeId v : list) sched_stamp_[v] = next;
-        list.clear();
+      for (WorkerScratch& w : worker_) {
+        w.recv.clear();
+        for (const NodeId v : w.wakeup) sched_stamp_[v] = next;
+        w.wakeup.clear();
       }
       for (const std::uint64_t u : uniq) receivers += u;
     } else if (tele_ != nullptr) {
       // Telemetry needs the unique-receiver count, so the stamp pass pays
       // the dedup branch the plain path below avoids.
-      for (auto& list : thread_recv_) {
-        for (const NodeId to : list) {
+      for (WorkerScratch& w : worker_) {
+        for (const NodeId to : w.recv) {
           if (sched_stamp_[to] != next) {
             sched_stamp_[to] = next;
             ++receivers;
           }
         }
-        list.clear();
+        w.recv.clear();
       }
-      for (auto& list : thread_wakeup_) {
-        for (const NodeId v : list) sched_stamp_[v] = next;
-        list.clear();
+      for (WorkerScratch& w : worker_) {
+        for (const NodeId v : w.wakeup) sched_stamp_[v] = next;
+        w.wakeup.clear();
       }
     } else {
-      for (auto& list : thread_recv_) {
-        for (const NodeId to : list) sched_stamp_[to] = next;
-        list.clear();
-      }
-      for (auto& list : thread_wakeup_) {
-        for (const NodeId v : list) sched_stamp_[v] = next;
-        list.clear();
+      for (WorkerScratch& w : worker_) {
+        for (const NodeId to : w.recv) sched_stamp_[to] = next;
+        w.recv.clear();
+        for (const NodeId v : w.wakeup) sched_stamp_[v] = next;
+        w.wakeup.clear();
       }
     }
     write_off_ = arcs_ - write_off_;

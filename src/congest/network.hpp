@@ -40,6 +40,11 @@
 //    outgoing slots, and each slot has exactly one consumer, so rounds are
 //    data-race-free by construction and bit-identical at every thread
 //    count — sparse or dense.
+//  * Per-worker scratch lives on its own cache lines (WorkerScratch). Every
+//    stepped node writes its worker's lists — an inbox clear and push_back,
+//    a receiver push_back per send, a wakeup push_back — so list headers
+//    of different workers sharing a line would bounce it between cores on
+//    nearly every step.
 
 #include <atomic>
 #include <cstddef>
@@ -64,6 +69,16 @@ namespace fc::congest {
 struct Incoming {
   ArcId via = kInvalidArc;
   Message msg;
+};
+
+/// One pool worker's scratch, alone on its cache lines (see the performance
+/// model above): the receiver list (send() resolves the head node so the
+/// stamp pass never touches the graph), wakeup requests, and the inbox
+/// buffer the Context spans point into.
+struct alignas(kCacheLineBytes) WorkerScratch {
+  std::vector<NodeId> recv;
+  std::vector<NodeId> wakeup;
+  std::vector<Incoming> inbox;
 };
 
 class Network;
@@ -256,12 +271,9 @@ class Network {
   std::vector<Message> slot_msg_;        // size 2 * arcs_
   std::vector<std::uint8_t> slot_full_;  // size 2 * arcs_
   std::size_t write_off_ = 0;
-  // Per-worker scratch: receiver lists (send() resolves the head node so
-  // the stamp pass never touches the graph), wakeup requests, and the
-  // inbox buffers the Context spans point into.
-  std::vector<std::vector<NodeId>> thread_recv_;
-  std::vector<std::vector<NodeId>> thread_wakeup_;
-  std::vector<std::vector<Incoming>> inbox_scratch_;
+  // One WorkerScratch per pool worker. run() resizes it to the pool and
+  // clears the lists, keeping their capacity across runs.
+  std::vector<WorkerScratch> worker_;
   // sched_stamp_[v] == r: v is scheduled for round r (received a message
   // and/or requested a wakeup). Gates both the inbox arc scan and the
   // kActiveScan filter; doubles as the kActiveList dedup marker.

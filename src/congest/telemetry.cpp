@@ -110,9 +110,12 @@ void Telemetry::begin_run(std::string name, std::size_t workers) {
                       : static_cast<std::uint8_t>(sweep_rle_.back().sweep);
   }
   run_series_begin_ = static_cast<std::size_t>(recorded_rounds());
-  worker_active_.assign(workers, 0);
-  worker_inbox_hist_.assign(workers, {});
-  worker_notes_.assign(workers, {});
+  worker_.resize(workers);
+  for (WorkerState& w : worker_) {
+    w.active = 0;
+    w.inbox_hist.clear();
+    w.notes.clear();
+  }
   run_start_ns_ = now_ns();
 }
 
@@ -156,7 +159,7 @@ void Telemetry::record_counters_slow(CounterCursor& c, SweepMode sweep,
 }
 
 void Telemetry::record_inbox(std::size_t worker, std::size_t size) {
-  auto& hist = worker_inbox_hist_[worker];
+  auto& hist = worker_[worker].inbox_hist;
   if (size >= hist.size()) hist.resize(size + 1, 0);
   ++hist[size];
 }
@@ -245,7 +248,8 @@ TelemetrySnapshot Telemetry::end_run(std::uint64_t messages, bool finished,
       arc_total_[a] += arc_sends[a];
     run.arc_congestion = summarize_counts(arc_sends);
     std::vector<std::uint64_t> run_hist;
-    for (const auto& hist : worker_inbox_hist_) {
+    for (const WorkerState& w : worker_) {
+      const auto& hist = w.inbox_hist;
       if (run_hist.size() < hist.size()) run_hist.resize(hist.size(), 0);
       for (std::size_t v = 0; v < hist.size(); ++v) run_hist[v] += hist[v];
     }
@@ -256,11 +260,11 @@ TelemetrySnapshot Telemetry::end_run(std::uint64_t messages, bool finished,
     run.inbox_sizes = summarize_buckets(run_hist);
 
     std::vector<Annotation> notes;
-    for (auto& worker : worker_notes_) {
-      for (auto& note : worker)
+    for (WorkerState& w : worker_) {
+      for (auto& note : w.notes)
         notes.push_back({run_round_offset_ + note.round,
                          std::move(note.label)});
-      worker.clear();
+      w.notes.clear();
     }
     std::sort(notes.begin(), notes.end(),
               [](const Annotation& a, const Annotation& b) {

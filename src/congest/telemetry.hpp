@@ -41,6 +41,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/thread_pool.hpp"
+
 namespace fc::congest {
 
 enum class TelemetryMode : std::uint8_t { kOff, kRounds, kFull };
@@ -195,14 +197,14 @@ class Telemetry {
   /// whose active count isn't implied by the sweep size: `stepped` handlers
   /// ran on `worker`.
   void add_active(std::size_t worker, std::uint64_t stepped) {
-    worker_active_[worker] += stepped;
+    worker_[worker].active += stepped;
   }
   /// Sum and clear the per-worker stepped counters (kActiveScan rounds).
   std::uint64_t take_active() {
     std::uint64_t active = 0;
-    for (auto& a : worker_active_) {
-      active += a;
-      a = 0;
+    for (WorkerState& w : worker_) {
+      active += w.active;
+      w.active = 0;
     }
     return active;
   }
@@ -212,7 +214,7 @@ class Telemetry {
   /// run-local; begin_run's offset is applied at end_run). nullptr
   /// otherwise.
   std::vector<Annotation>* worker_notes(std::size_t worker) {
-    return full() ? &worker_notes_[worker] : nullptr;
+    return full() ? &worker_[worker].notes : nullptr;
   }
   /// Bump-pointer cursor over the kRounds sample storage's spare capacity.
   /// Network::run hoists one into its locals so the per-round append —
@@ -308,10 +310,14 @@ class Telemetry {
   std::uint64_t run_round_offset_ = 0;
   std::uint64_t run_start_ns_ = 0;
   std::string run_name_;
-  // Per-worker scratch (lock-free: one writer each).
-  std::vector<std::uint64_t> worker_active_;
-  std::vector<std::vector<std::uint64_t>> worker_inbox_hist_;
-  std::vector<std::vector<Annotation>> worker_notes_;
+  // Per-worker scratch (lock-free: one writer each), one cache-line-aligned
+  // block per worker so concurrent handlers never share a written line.
+  struct alignas(kCacheLineBytes) WorkerState {
+    std::uint64_t active = 0;                // kActiveScan stepped handlers
+    std::vector<std::uint64_t> inbox_hist;   // [size] -> multiplicity
+    std::vector<Annotation> notes;
+  };
+  std::vector<WorkerState> worker_;
 };
 
 // ---- exporters ----------------------------------------------------------

@@ -7,6 +7,12 @@
 // results. The pool uses static chunking (no work stealing) so the mapping
 // of index -> worker is stable, which lets callers keep per-worker scratch
 // (e.g. the simulator's dirty-arc lists) without synchronization.
+//
+// Per-worker scratch lives on its own cache lines: declare it as one
+// alignas(kCacheLineBytes) struct per worker, never as parallel
+// vector-of-vectors. Adjacent vector headers written by different workers
+// (every push_back bumps one) share a line, and that line then ping-pongs
+// between cores on every write.
 
 #include <condition_variable>
 #include <cstddef>
@@ -16,6 +22,10 @@
 #include <vector>
 
 namespace fc {
+
+/// Alignment for per-worker scratch (see the header note): the cache-line
+/// size of x86-64 and most AArch64 cores.
+inline constexpr std::size_t kCacheLineBytes = 64;
 
 class ThreadPool {
  public:

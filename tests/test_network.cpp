@@ -168,6 +168,33 @@ TEST(Network, RunIsRepeatable) {
   EXPECT_EQ(a1.heard_, a2.heard_);
 }
 
+TEST(Network, ReuseAcrossPoolsAndAfterThrow) {
+  // run() clears the per-worker lists instead of reallocating them, so a
+  // pooled Network keeps their capacity. Neither the receiver entry a
+  // throwing run leaves behind nor a pool that shrinks or grows between
+  // runs may leak into the next run.
+  const Graph g = gen::circulant(600, 3);  // big enough to trigger threads
+  Network fresh_net(g);
+  HelloAll fresh(g);
+  const auto want = fresh_net.run(fresh);
+
+  Network net(g);
+  DoubleSender bad;
+  EXPECT_THROW(net.run(bad, {.max_rounds = 3, .parallel = false}),
+               std::logic_error);
+  for (const std::size_t threads : {8, 2, 1, 8}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    HelloAll alg(g);
+    const auto got = net.run(alg, {.pool = &pool});
+    EXPECT_EQ(want.rounds, got.rounds);
+    EXPECT_EQ(want.messages, got.messages);
+    EXPECT_EQ(want.undelivered, got.undelivered);
+    EXPECT_EQ(want.arc_sends, got.arc_sends);
+    EXPECT_EQ(fresh.heard_, alg.heard_);
+  }
+}
+
 TEST(Runner, RejectsOverlappingInstances) {
   const Graph g = gen::cycle(6);
   const std::vector<EdgeId> all{0, 1, 2, 3, 4, 5};

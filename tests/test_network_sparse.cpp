@@ -26,6 +26,7 @@
 #include "apps/mst.hpp"
 #include "apps/sssp.hpp"
 #include "congest/runner.hpp"
+#include "graph/partition.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 #include "util/thread_pool.hpp"
@@ -44,6 +45,11 @@ const char* const kSpecs[] = {
     "rmat:n=128,deg=6,seed=7,largest_cc=1,weights=1..100",
     "thick_cycle:groups=8,width=4",
 };
+
+// Each worker's scratch must own its cache lines (network.hpp's performance
+// model); a layout change that drops the alignment fails to compile here.
+static_assert(alignof(WorkerScratch) == 64);
+static_assert(sizeof(WorkerScratch) % 64 == 0);
 
 /// Engine pool sizes under test; chunk boundaries differ at each, so this
 /// doubles as the thread-invariance check for the new delivery path.
@@ -558,6 +564,80 @@ TEST(SparseEngine, RunnerInterleavedMatchesSequential) {
         }
         EXPECT_EQ(base_out, out);
       }
+    }
+  }
+}
+
+TEST(SparseEngine, PipelineBroadcastCompositeIdenticalAcrossPools) {
+  // Theorem 1's k-broadcast shape: four pipelined broadcasts over a random
+  // edge partition, interleaved on the union graph by run_edge_disjoint.
+  // Every stepped node writes its worker's scratch lists, so this is the
+  // composite that exercises them hardest at pool > 1. Composite and
+  // per-instance cost plus every node's delivery must match the pool-1 run
+  // at every pool size, with the delivery stamp both serial and parallel.
+  const Graph g = scenario::build_graph("random_regular:n=256,d=32,seed=1");
+  constexpr std::uint32_t kParts = 4;
+  const EdgePartition partition = random_edge_partition(g, kParts, 7);
+  std::vector<algo::SpanningTree> trees;
+  for (const Subgraph& part : partition.parts) {
+    trees.push_back(algo::run_bfs(part.graph, 0).tree);
+    ASSERT_EQ(trees.back().covered, g.node_count());
+  }
+  // k = 4n items from scattered origins, dealt round-robin to the parts.
+  std::vector<std::vector<algo::PlacedMessage>> assigned(kParts);
+  for (std::uint64_t i = 0; i < 4 * std::uint64_t{g.node_count()}; ++i)
+    assigned[i % kParts].push_back(
+        {static_cast<NodeId>((i * 37) % g.node_count()), i, i * 977});
+
+  struct Outcome {
+    CompositeResult res;
+    std::vector<std::uint64_t> delivery;  // per part, per node
+  };
+  const auto run_at = [&](std::size_t threads, std::size_t stamp_threshold) {
+    std::vector<std::unique_ptr<algo::PipelineBroadcast>> algs;
+    std::vector<EdgeDisjointInstance> work;
+    for (std::uint32_t i = 0; i < kParts; ++i) {
+      algs.push_back(std::make_unique<algo::PipelineBroadcast>(
+          partition.parts[i].graph, trees[i], assigned[i]));
+      work.push_back({&partition.parts[i], algs.back().get()});
+    }
+    ThreadPool pool(threads);
+    RunOptions opts;
+    opts.pool = &pool;
+    opts.parallel_stamp_threshold = stamp_threshold;
+    Outcome out{run_edge_disjoint(g, work, opts), {}};
+    for (const auto& alg : algs) {
+      for (NodeId v = 0; v < g.node_count(); ++v) {
+        out.delivery.push_back(alg->received_count(v));
+        out.delivery.push_back(alg->digest(v));
+      }
+    }
+    return out;
+  };
+
+  const std::size_t kSerialStamp = std::numeric_limits<std::size_t>::max();
+  const Outcome base = run_at(1, kSerialStamp);
+  ASSERT_TRUE(base.res.finished);
+  ASSERT_EQ(base.res.per_instance.size(), kParts);
+  for (const std::size_t threads : kThreads) {
+    for (const std::size_t threshold : {kSerialStamp, std::size_t{1}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " threshold=" << threshold);
+      const Outcome got = run_at(threads, threshold);
+      EXPECT_EQ(base.res.rounds, got.res.rounds);
+      EXPECT_EQ(base.res.messages, got.res.messages);
+      EXPECT_EQ(base.res.finished, got.res.finished);
+      EXPECT_EQ(base.res.parent_edge_congestion,
+                got.res.parent_edge_congestion);
+      ASSERT_EQ(got.res.per_instance.size(), kParts);
+      for (std::uint32_t i = 0; i < kParts; ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(base.res.per_instance[i].rounds,
+                  got.res.per_instance[i].rounds);
+        EXPECT_EQ(base.res.per_instance[i].arc_sends,
+                  got.res.per_instance[i].arc_sends);
+      }
+      EXPECT_EQ(base.delivery, got.delivery);
     }
   }
 }
