@@ -37,17 +37,13 @@
 //                    exactly round r. Supported by bfs, batch-bfs,
 //                    leader-election, broadcast, convergecast, sssp; other
 //                    algorithms reject the flag. Ids are in the run graph's
-//                    id space (see ScenarioConfig::faults).
+//                    id space (see ScenarioConfig::engine).
 //   --stretch=<k>    weighted-apsp stretch parameter (default 3: 5-approx)
 //   --cache=<dir>    binary graph corpus + manifest: generate once, reload
 //   --cache-gc       garbage-collect --cache first: evict .fcg files the
 //                    manifest does not vouch for (missing entry or checksum
 //                    mismatch) and drop dangling manifest entries; exits
 //                    after the sweep when no --graph is given
-//   --engine=<mode>  "event" (default): event-driven rounds — only nodes
-//                    with messages or a pending wakeup step. "dense": the
-//                    legacy every-node sweep. Reports are bit-identical;
-//                    only the wall time differs (see bench_engine).
 //   --telemetry=<m>  "off" (default), "rounds" (per-round counter series,
 //                    cheap), or "full" (adds phase timers, inbox histograms,
 //                    annotations). One recorder spans ALL runs of the
@@ -102,25 +98,18 @@ int main(int argc, char** argv) {
   // silently change the experiment.
   static const std::vector<std::string> known_flags = {
       "graph",    "algo", "k",        "seed",    "root",    "cache",
-      "cache-gc", "list", "markdown", "stretch", "sources", "engine",
+      "cache-gc", "list", "markdown", "stretch", "sources",
       "telemetry", "trace-out", "metrics-out", "source-mode", "fault"};
   for (const auto& key : opts.keys()) {
     if (std::find(known_flags.begin(), known_flags.end(), key) ==
         known_flags.end()) {
       std::cerr << "scenario_runner: unknown option '--" << key
                 << "'; known options: --graph --algo --k --sources "
-                   "--source-mode --seed --root --stretch --engine "
+                   "--source-mode --seed --root --stretch "
                    "--fault --telemetry --trace-out --metrics-out --cache "
                    "--cache-gc --markdown --list\n";
       return 2;
     }
-  }
-
-  const std::string engine = opts.get("engine", "event");
-  if (engine != "event" && engine != "dense") {
-    std::cerr << "scenario_runner: --engine must be 'event' or 'dense', got '"
-              << engine << "'\n";
-    return 2;
   }
 
   congest::TelemetryMode tmode = congest::TelemetryMode::kOff;
@@ -191,9 +180,8 @@ int main(int argc, char** argv) {
               << source_mode << "'\n";
     return 2;
   }
-  cfg.force_dense = engine == "dense";
   congest::Telemetry telemetry(tmode);
-  if (tmode != congest::TelemetryMode::kOff) cfg.telemetry = &telemetry;
+  if (tmode != congest::TelemetryMode::kOff) cfg.engine.telemetry = &telemetry;
 
   // --fault=kind:id@round, repeatable. Ids are validated by the engine
   // against the graph each run actually executes on.
@@ -248,7 +236,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    cfg.faults = &fault_plan;
+    cfg.engine.faults = &fault_plan;
   }
 
   std::vector<scenario::ScenarioResult> results;
@@ -290,7 +278,7 @@ int main(int argc, char** argv) {
   else
     report.print(std::cout);
 
-  if (cfg.telemetry != nullptr) {
+  if (cfg.engine.telemetry != nullptr) {
     const congest::TelemetrySnapshot snap = telemetry.snapshot();
     std::cout << "telemetry: mode=" << congest::to_string(snap.mode)
               << " rounds=" << snap.rounds << " spans=" << snap.spans.size()

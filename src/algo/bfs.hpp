@@ -34,9 +34,6 @@ class DistributedBfs : public congest::Algorithm {
   void start(congest::Context& ctx) override;
   void step(congest::Context& ctx) override;
   bool done() const override;
-  /// Event-driven: an unreached node acts only when the flood arrives, so
-  /// only the frontier (plus its neighbours) pays per round.
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     quiescence_.note_round(round);
   }
@@ -95,9 +92,6 @@ class BatchBfs : public congest::Algorithm {
   void start(congest::Context& ctx) override;
   void step(congest::Context& ctx) override;
   bool done() const override;
-  /// Event-driven: a node with a non-empty announcement FIFO requests a
-  /// wakeup after each send, so the backlog drains without dense sweeps.
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     quiescence_.note_round(round);
   }

@@ -34,9 +34,6 @@ class Convergecast : public congest::Algorithm {
   void start(congest::Context& ctx) override;
   void step(congest::Context& ctx) override;
   bool done() const override;
-  /// Event-driven: progress is strictly receive-driven after the leaves'
-  /// round-0 reports (done() counts completions, not quiescence).
-  bool event_driven() const override { return true; }
 
   /// The aggregate as known by node v (valid once done()).
   std::uint64_t result(NodeId v) const { return result_[v]; }
@@ -100,9 +97,6 @@ class ForestEcho : public congest::Algorithm {
   void start(congest::Context& ctx) override;
   void step(congest::Context& ctx) override;
   bool done() const override;
-  /// Event-driven: saturation and resolution waves are receive-driven;
-  /// decided and inactive nodes never run again.
-  bool event_driven() const override { return true; }
 
   /// The component minimum as known by node v (valid once done()).
   const EchoValue& result(NodeId v) const { return acc_[v]; }

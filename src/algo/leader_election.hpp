@@ -23,9 +23,6 @@ class LeaderElection : public congest::Algorithm {
   void start(congest::Context& ctx) override;
   void step(congest::Context& ctx) override;
   bool done() const override;
-  /// Event-driven: a node re-floods only on improvement, which can only be
-  /// triggered by an incoming announcement.
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     current_round_.store(round, std::memory_order_relaxed);
   }

@@ -120,14 +120,7 @@ BatchSsspReport batch_sssp(const WeightedGraph& g,
       opts.network != nullptr && &opts.network->graph() == &g.graph()
           ? *opts.network
           : local.emplace(g.graph());
-  congest::RunOptions ropts;
-  ropts.max_rounds = opts.max_rounds;
-  ropts.parallel = opts.parallel;
-  ropts.force_dense = opts.force_dense;
-  ropts.telemetry = opts.telemetry;
-  ropts.pool = opts.pool;
-  ropts.cancel = opts.cancel;
-  const auto cost = net.run(alg, ropts);
+  const auto cost = net.run(alg, opts.engine);
   r.sources = alg.sources();
   const std::uint32_t k = alg.k();
   r.dist.reserve(k);

@@ -49,9 +49,6 @@ class BatchBellmanFord : public congest::Algorithm {
   void start(congest::Context& ctx) override;
   void step(congest::Context& ctx) override;
   bool done() const override;
-  /// Event-driven: a node with a non-empty announcement FIFO requests a
-  /// wakeup after each send, so the backlog drains without dense sweeps.
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     quiescence_.note_round(round);
   }
@@ -81,23 +78,13 @@ class BatchBellmanFord : public congest::Algorithm {
 };
 
 struct BatchSsspOptions {
-  std::uint64_t max_rounds = 10'000'000;
-  bool parallel = true;
-  /// Run the legacy dense sweep instead of the event-driven engine (the
-  /// differential-test / baseline knob; results are bit-identical).
-  bool force_dense = false;
-  /// Telemetry recorder for the engine run (null = off). Each query's
+  /// Engine knobs for the one batched run. Under telemetry each query's
   /// launch is annotated "batch-sssp/gen=<s>", so the pipelined generations
   /// show up as instant events in exported traces.
-  congest::Telemetry* telemetry = nullptr;
-  /// Thread pool for the engine rounds; null selects ThreadPool::global().
-  ThreadPool* pool = nullptr;
+  congest::RunOptions engine{.max_rounds = 10'000'000};
   /// Warm engine to reuse; engaged only when bound to EXACTLY g.graph()
   /// (the serve layer's pooled Network), otherwise a fresh engine is built.
   congest::Network* network = nullptr;
-  /// Cooperative cancellation/deadline token for the engine run (null =
-  /// never cancels). See congest/cancel.hpp.
-  const congest::CancelToken* cancel = nullptr;
 };
 
 /// Per-query outcome plus the shared engine costs of the one batched run.
@@ -112,7 +99,7 @@ struct BatchSsspReport {
   std::uint64_t messages = 0;
   std::vector<std::uint64_t> arc_sends;
   bool finished = false;
-  /// The run was truncated by an expired BatchSsspOptions::cancel token;
+  /// The run was truncated by an expired engine.cancel token;
   /// per-query distances are a valid partial relaxation, not the fixpoint.
   bool cancelled = false;
 

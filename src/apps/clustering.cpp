@@ -71,8 +71,6 @@ class ClusterProtocol : public congest::Algorithm {
     return finished_.load(std::memory_order_relaxed) == s_.size();
   }
 
-  bool event_driven() const override { return true; }
-
   const std::vector<std::uint8_t>& is_center_;
   std::vector<NodeId> s_;
   std::vector<std::vector<NodeId>> neighbor_center_;

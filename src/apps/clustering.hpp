@@ -38,8 +38,7 @@ struct Clustering {
 struct ClusteringOptions {
   double c = 3.0;  // the sampling constant in p = c ln n / δ
   std::uint64_t seed = 1;
-  /// Engine knobs for the protocol run (force_dense, pool, ...): lets the
-  /// dense-vs-sparse differential tests drive the real entry point.
+  /// Engine knobs for the protocol run.
   congest::RunOptions engine;
 };
 

@@ -53,13 +53,6 @@ class DelayedBfs : public congest::Algorithm {
     return filled_.load(std::memory_order_relaxed) ==
            static_cast<std::uint64_t>(n_) * n_;
   }
-  // Event-driven via a wakeup chain: a node keeps itself scheduled while
-  // its round-2π(v) source timer is still pending (request_wakeup has no
-  // target round, so the chain ticks every round until the timer fires)
-  // or while its relay queue holds undelivered pairs. After that it runs
-  // only when a wave arrives. The chain's total activations are O(n) per
-  // node — the same order as the waves themselves.
-  bool event_driven() const override { return true; }
 
  private:
   struct Pending {
@@ -87,6 +80,12 @@ class DelayedBfs : public congest::Algorithm {
       ctx.send(a, {kTagWave, p.src, p.dist});
   }
 
+  // Scheduling is a wakeup chain: a node keeps itself scheduled while
+  // its round-2π(v) source timer is still pending (request_wakeup has no
+  // target round, so the chain ticks every round until the timer fires)
+  // or while its relay queue holds undelivered pairs. After that it runs
+  // only when a wave arrives. The chain's total activations are O(n) per
+  // node — the same order as the waves themselves.
   void rearm(congest::Context& ctx) {
     const NodeId v = ctx.id();
     if (ctx.round() < 2ull * pi_[v] || !queue_[v].empty())
@@ -104,12 +103,8 @@ class DelayedBfs : public congest::Algorithm {
 
 }  // namespace
 
-ExactApspReport exact_apsp_distributed(const Graph& g, NodeId dfs_root) {
-  return exact_apsp_distributed(g, dfs_root, congest::RunOptions{});
-}
-
 ExactApspReport exact_apsp_distributed(const Graph& g, NodeId dfs_root,
-                                       congest::RunOptions engine_opts) {
+                                       congest::RunOptions engine) {
   if (!is_connected(g))
     throw std::invalid_argument("exact_apsp: disconnected graph");
   ExactApspReport report;
@@ -122,9 +117,8 @@ ExactApspReport exact_apsp_distributed(const Graph& g, NodeId dfs_root,
 
   congest::Network net(g);
   DelayedBfs alg(g, pi);
-  congest::RunOptions opts = engine_opts;
-  opts.max_rounds = 10ull * g.node_count() + 64;
-  const auto res = net.run(alg, opts);
+  engine.max_rounds = 10ull * g.node_count() + 64;
+  const auto res = net.run(alg, engine);
   if (!res.finished)
     throw std::runtime_error("exact_apsp: delayed BFS did not converge");
   report.bfs_rounds = res.rounds;

@@ -34,13 +34,9 @@ struct ExactApspReport {
   std::size_t max_queue = 0;      // 1 iff the PRT12 property held exactly
 };
 
-/// Run the distributed exact APSP on a connected graph.
-ExactApspReport exact_apsp_distributed(const Graph& g, NodeId dfs_root = 0);
-
-/// Same, with engine knobs exposed (force_dense, pool, ...) so the
-/// dense-vs-sparse differential tests can drive the real entry point.
-/// `engine_opts.max_rounds` is overridden by the algorithm's own bound.
-ExactApspReport exact_apsp_distributed(const Graph& g, NodeId dfs_root,
-                                       congest::RunOptions engine_opts);
+/// Run the distributed exact APSP on a connected graph. `engine.max_rounds`
+/// is overridden by the algorithm's own bound.
+ExactApspReport exact_apsp_distributed(const Graph& g, NodeId dfs_root = 0,
+                                       congest::RunOptions engine = {});
 
 }  // namespace fc::apps

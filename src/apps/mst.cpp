@@ -69,10 +69,8 @@ class AnnouncePhase : public congest::Algorithm {
   bool done() const override {
     return last_round_.load(std::memory_order_relaxed) >= 1;
   }
-  /// Event-driven: only announcement receivers act in round 1; the
-  /// two-round clock lives in round_started so silent components (and the
-  /// sparse engine's idle rounds) cannot stall done().
-  bool event_driven() const override { return true; }
+  /// The two-round clock lives here, not in step(), so silent components
+  /// and rounds where no node runs cannot stall done().
   void round_started(std::uint64_t round) override {
     last_round_.store(round, std::memory_order_relaxed);
   }
@@ -129,7 +127,6 @@ class MoeFloodPhase : public congest::Algorithm {
   }
 
   bool done() const override { return quiescence_.quiescent(); }
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     quiescence_.note_round(round);
   }
@@ -178,7 +175,6 @@ class ConnectPhase : public congest::Algorithm {
   bool done() const override {
     return last_round_.load(std::memory_order_relaxed) >= 1;
   }
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     last_round_.store(round, std::memory_order_relaxed);
   }
@@ -232,7 +228,6 @@ class MergeFloodPhase : public congest::Algorithm {
   }
 
   bool done() const override { return quiescence_.quiescent(); }
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     quiescence_.note_round(round);
   }
@@ -282,13 +277,6 @@ MstReport distributed_mst(const WeightedGraph& g, const MstOptions& opts) {
   // kConvergecast mode silences them; the flood baseline keeps the original
   // keep-announcing behaviour for a faithful comparison.
   std::vector<std::uint8_t> complete(n, 0);
-  congest::RunOptions ropts;
-  ropts.max_rounds = opts.max_rounds;
-  ropts.parallel = opts.parallel;
-  ropts.force_dense = opts.force_dense;
-  ropts.telemetry = opts.telemetry;
-  ropts.pool = opts.pool;
-  ropts.cancel = opts.cancel;
   // ONE engine serves every phase execution: run() fully resets per-run
   // state, so this is bit-identical to the former per-phase Networks and
   // drops their repeated adjacency-sized allocations.
@@ -301,7 +289,7 @@ MstReport distributed_mst(const WeightedGraph& g, const MstOptions& opts) {
     AnnouncePhase announce(g, r.fragment, complete,
                            "mst/phase=" + std::to_string(r.phases + 1));
     {
-      const auto cost = net.run(announce, ropts);
+      const auto cost = net.run(announce, opts.engine);
       accumulate(r, cost);
       r.announce_messages += cost.messages;
     }
@@ -323,7 +311,7 @@ MstReport distributed_mst(const WeightedGraph& g, const MstOptions& opts) {
         vals[v] = {static_cast<std::uint64_t>(local[v].first),
                    local[v].second};
       algo::ForestEcho agg(graph, tree_arc, std::move(vals), &complete);
-      const auto cost = net.run(agg, ropts);
+      const auto cost = net.run(agg, opts.engine);
       accumulate(r, cost);
       r.merge_messages += cost.messages;
       for (NodeId v = 0; v < n; ++v)
@@ -331,7 +319,7 @@ MstReport distributed_mst(const WeightedGraph& g, const MstOptions& opts) {
                    static_cast<EdgeId>(agg.result(v).second)};
     } else {
       MoeFloodPhase agg(tree_arc, local);
-      const auto cost = net.run(agg, ropts);
+      const auto cost = net.run(agg, opts.engine);
       accumulate(r, cost);
       r.merge_messages += cost.messages;
       for (NodeId v = 0; v < n; ++v) best[v] = agg.best(v);
@@ -357,21 +345,21 @@ MstReport distributed_mst(const WeightedGraph& g, const MstOptions& opts) {
         if (best[v] == kNoMoe) complete[v] = 1;
       ConnectPhase connect(r.fragment, winner_arc, tree_arc);
       {
-        const auto cost = net.run(connect, ropts);
+        const auto cost = net.run(connect, opts.engine);
         accumulate(r, cost);
         r.merge_messages += cost.messages;
       }
       std::vector<algo::EchoValue> vals(n);
       for (NodeId v = 0; v < n; ++v) vals[v] = {r.fragment[v], 0};
       algo::ForestEcho naming(graph, tree_arc, std::move(vals), &complete);
-      const auto cost = net.run(naming, ropts);
+      const auto cost = net.run(naming, opts.engine);
       accumulate(r, cost);
       r.merge_messages += cost.messages;
       for (NodeId v = 0; v < n; ++v)
         r.fragment[v] = static_cast<NodeId>(naming.result(v).first);
     } else {
       MergeFloodPhase merge(r.fragment, winner_arc, tree_arc);
-      const auto cost = net.run(merge, ropts);
+      const auto cost = net.run(merge, opts.engine);
       accumulate(r, cost);
       r.merge_messages += cost.messages;
       r.fragment = merge.take_fragments();

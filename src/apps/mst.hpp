@@ -50,13 +50,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "congest/cancel.hpp"
-#include "congest/metrics.hpp"
+#include "congest/network.hpp"
 #include "graph/weighted_graph.hpp"
-
-namespace fc {
-class ThreadPool;
-}
 
 namespace fc::apps {
 
@@ -67,25 +62,14 @@ namespace fc::apps {
 enum class MstMerge { kConvergecast, kFlood };
 
 struct MstOptions {
-  /// Cap per engine execution (each phase runs several).
-  std::uint64_t max_rounds = 10'000'000;
-  bool parallel = true;
   MstMerge merge = MstMerge::kConvergecast;
-  /// Run every phase with the legacy dense sweep instead of the
-  /// event-driven engine (differential-test / baseline knob).
-  bool force_dense = false;
-  /// Shared telemetry recorder threaded through every phase execution
-  /// (null = off). Each engine run becomes a named span ("mst/announce",
+  /// Engine knobs for every phase execution; max_rounds caps each one.
+  /// Telemetry sees each run as a named span ("mst/announce",
   /// "mst/connect", ...) and fragment leaders annotate "mst/phase=<p>" at
-  /// each announce, so Borůvka phases are visible in exported traces.
-  congest::Telemetry* telemetry = nullptr;
-  /// Thread pool for every phase's engine rounds; null selects
-  /// ThreadPool::global().
-  ThreadPool* pool = nullptr;
-  /// Cooperative cancellation/deadline token, threaded through every phase
-  /// execution (null = never cancels). A cancelled phase stops the Borůvka
-  /// loop; the report carries the forest built so far. congest/cancel.hpp.
-  const congest::CancelToken* cancel = nullptr;
+  /// each announce. A cancelled phase stops the Borůvka loop; the report
+  /// carries the forest built so far. A fault plan restarts its clock in
+  /// every phase run.
+  congest::RunOptions engine{.max_rounds = 10'000'000};
 };
 
 struct MstReport {
@@ -106,7 +90,7 @@ struct MstReport {
   /// Per-arc sends summed over every phase (whole-execution congestion).
   std::vector<std::uint64_t> arc_sends;
   bool finished = false;
-  /// Some phase execution was truncated by an expired MstOptions::cancel
+  /// Some phase execution was truncated by an expired engine.cancel
   /// token; tree_edges hold the merges committed before the cut.
   bool cancelled = false;
   /// Final fragment id per node: the minimum NodeId of its component.

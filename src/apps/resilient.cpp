@@ -111,7 +111,6 @@ class TreePipelineBroadcast final : public congest::Algorithm {
       : tree_(&tree), k_(k), arrived_(&arrived), got_(&got) {}
 
   std::string name() const override { return "resilient/tree-broadcast"; }
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override { q_.note_round(round); }
   bool done() const override { return q_.quiescent(); }
 

@@ -33,9 +33,6 @@ class DistributedBellmanFord : public congest::Algorithm {
   void start(congest::Context& ctx) override;
   void step(congest::Context& ctx) override;
   bool done() const override;
-  /// Event-driven: a node re-announces only after an inbox-driven
-  /// relaxation, so only the active wavefront pays per round.
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     quiescence_.note_round(round);
   }
@@ -57,24 +54,11 @@ class DistributedBellmanFord : public congest::Algorithm {
 };
 
 struct SsspOptions {
-  std::uint64_t max_rounds = 10'000'000;
-  bool parallel = true;
-  /// Run the legacy dense sweep instead of the event-driven engine (the
-  /// differential-test / baseline knob; results are bit-identical).
-  bool force_dense = false;
-  /// Telemetry recorder for the engine run (null = off).
-  congest::Telemetry* telemetry = nullptr;
-  /// Thread pool for the engine rounds; null selects ThreadPool::global().
-  ThreadPool* pool = nullptr;
+  /// Engine knobs for the one run. Fault ids are in g.graph()'s id space.
+  congest::RunOptions engine{.max_rounds = 10'000'000};
   /// Warm engine to reuse; engaged only when bound to EXACTLY g.graph()
   /// (the serve layer's pooled Network), otherwise a fresh engine is built.
   congest::Network* network = nullptr;
-  /// Mid-run fault injection (null = fault-free); ids are in g.graph()'s
-  /// id space. See congest/faults.hpp.
-  const congest::FaultPlan* faults = nullptr;
-  /// Cooperative cancellation/deadline token for the engine run (null =
-  /// never cancels). See congest/cancel.hpp.
-  const congest::CancelToken* cancel = nullptr;
 };
 
 struct SsspReport {
@@ -86,7 +70,7 @@ struct SsspReport {
   std::uint64_t messages = 0;
   std::vector<std::uint64_t> arc_sends;
   bool finished = false;
-  /// The run was truncated by an expired SsspOptions::cancel token; the
+  /// The run was truncated by an expired engine.cancel token; the
   /// distances are a valid partial relaxation, not the fixpoint.
   bool cancelled = false;
 

@@ -24,8 +24,7 @@ inline std::uint64_t max_arc_congestion(
 }
 
 /// Max over edges of the sends in both directions of one edge. An empty
-/// span (a run with count_sends off) reports 0, like the all-zero vector
-/// such runs used to carry.
+/// span reports 0.
 inline std::uint64_t max_edge_congestion(
     const Graph& g, std::span<const std::uint64_t> arc_sends) {
   if (arc_sends.empty()) return 0;
@@ -61,11 +60,11 @@ struct RunResult {
   /// deadline) before `finished`. Mutually exclusive with `finished`; a
   /// run that merely hits max_rounds reports neither.
   bool cancelled = false;
-  /// Per-arc message counts; EMPTY when the run had count_sends off.
+  /// Per-arc message counts, indexed by ArcId.
   std::vector<std::uint64_t> arc_sends;
   /// THIS run's telemetry (series, span, histograms); engaged only when the
-  /// run had a telemetry recorder attached (RunOptions::telemetry or
-  /// Algorithm::telemetry()) in a mode other than kOff. Multi-run hosts
+  /// run had a recorder attached (RunOptions::telemetry) in a mode other
+  /// than kOff. Multi-run hosts
   /// read the accumulated view from the recorder's snapshot() instead.
   std::optional<TelemetrySnapshot> telemetry;
 

@@ -69,7 +69,7 @@ void Network::do_send(Context& ctx, ArcId via, const Message& m) {
     slot_msg_[w] = m;
   }
   ctx.recv_->push_back(g.arc_head(at));
-  if (counting_) ++arc_sends_[at];
+  ++arc_sends_[at];
 }
 
 void Network::apply_faults(std::uint64_t round) {
@@ -117,7 +117,7 @@ void Network::apply_faults(std::uint64_t round) {
 
 std::uint64_t Network::run_handlers(Algorithm& alg, std::uint64_t round,
                                     Sweep sweep, bool record_wakeups,
-                                    ThreadPool& pool, bool parallel) {
+                                    ThreadPool& pool) {
   const Graph& g = *graph_;
   const std::size_t read_off = arcs_ - write_off_;
   const std::size_t count = sweep == Sweep::kActiveList
@@ -176,7 +176,7 @@ std::uint64_t Network::run_handlers(Algorithm& alg, std::uint64_t round,
     }
     if (count_stepped) tele_->add_active(worker, stepped);
   };
-  if (parallel && count >= 512)
+  if (count >= 512)
     pool.parallel_chunks(count, body);
   else if (count > 0)
     body(0, 0, count);
@@ -189,12 +189,8 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
   const Graph& g = *graph_;
   const NodeId n = g.node_count();
   ++runs_started_;
-  counting_ = opts.count_sends;
   messages_ = 0;
-  if (counting_)
-    arc_sends_.assign(arcs_, 0);  // also recovers the moved-from state
-  else
-    arc_sends_.clear();
+  arc_sends_.assign(arcs_, 0);  // also recovers the moved-from state
   std::fill(slot_full_.begin(), slot_full_.end(), 0);
   write_off_ = 0;
   sched_stamp_.assign(n, 0);
@@ -224,7 +220,7 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
     fault_queue_.clear();
   }
 
-  const bool sparse = alg.event_driven() && !opts.force_dense;
+  const bool sparse = !opts.force_dense;
   ThreadPool& pool = opts.pool != nullptr ? *opts.pool : ThreadPool::global();
   const std::size_t workers = pool.size();
   // Clearing (not reallocating) keeps the lists' capacity for the next run
@@ -236,10 +232,9 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
     w.inbox.clear();
   }
 
-  // Telemetry: the caller's recorder wins; an algorithm-carried one (e.g.
-  // TraceRecorder's) is the fallback. kRounds records counters only — no
-  // clock reads inside the loop; kFull adds the three phase timers.
-  tele_ = opts.telemetry != nullptr ? opts.telemetry : alg.telemetry();
+  // Telemetry: kRounds records counters only — no clock reads inside the
+  // loop; kFull adds the three phase timers.
+  tele_ = opts.telemetry;
   if (tele_ != nullptr && !tele_->enabled()) tele_ = nullptr;
   const bool timing = tele_ != nullptr && tele_->full();
   if (tele_ != nullptr) tele_->begin_run(alg.name(), workers);
@@ -250,7 +245,7 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
 
   RunResult result;
   std::uint64_t round = 0;
-  // Round 0 runs start() on every node in both engines; sweep_next is the
+  // Round 0 runs start() on every node, dense or sparse; sweep_next is the
   // strategy the NEXT sparse round will use, chosen during delivery.
   Sweep sweep_next = Sweep::kAll;
   // Telemetry carry: messages delivered this round == sent last round;
@@ -281,7 +276,7 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
     const Sweep sweep = sparse && round > 0 ? sweep_next : Sweep::kAll;
     const std::uint64_t t0 = timing ? Telemetry::now_ns() : 0;
     const std::uint64_t active =
-        run_handlers(alg, round, sweep, record_wakeups, pool, opts.parallel);
+        run_handlers(alg, round, sweep, record_wakeups, pool);
     const std::uint64_t t1 = timing ? Telemetry::now_ns() : 0;
 
     // Delivery — O(messages + wakeups), no copies: stamp each receiver
@@ -323,8 +318,7 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
         }
         w.wakeup.clear();
       }
-    } else if (opts.parallel && workers > 1 &&
-               sent >= opts.parallel_stamp_threshold) {
+    } else if (workers > 1 && sent >= opts.parallel_stamp_threshold) {
       // Parallel stamp: pool workers split the per-worker receiver lists.
       // Every writer of one stamp writes the same value `next`, so relaxed
       // atomic stores are enough; when telemetry wants the unique-receiver
@@ -416,7 +410,7 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
     result.fault_dropped = fault_dropped_.load(std::memory_order_relaxed);
     result.fault_corrupted = fault_corrupted_.load(std::memory_order_relaxed);
   }
-  if (counting_) result.arc_sends = std::move(arc_sends_);
+  result.arc_sends = std::move(arc_sends_);
   if (tele_ != nullptr) {
     if (!timing) tele_->commit_counters(cursor);
     result.telemetry =

@@ -30,11 +30,11 @@
 //    order — the determinism contract every algorithm's tie-breaking rests
 //    on — comes for free, and consuming a slot clears its flag, so the
 //    read half is clean again by the time the next flip reuses it.
-//  * Algorithms that declare event_driven() run SPARSE: step() executes
-//    only for nodes with a non-empty inbox or a pending request_wakeup(),
-//    so a round costs O(sum of active nodes' degrees), not O(n + m).
-//    Legacy algorithms (event_driven() == false) keep the dense sweep —
-//    step() on all n nodes — with the same zero-copy delivery.
+//  * Rounds run SPARSE: step() executes only for nodes with a non-empty
+//    inbox or a pending request_wakeup(), so a round costs O(sum of active
+//    nodes' degrees), not O(n + m). RunOptions::force_dense keeps the dense
+//    sweep — step() on all n nodes, same zero-copy delivery — as the
+//    reference the differential tests compare the sparse engine against.
 //  * Handlers run in parallel on a thread pool once enough nodes are
 //    active; each handler writes only its own node's state and its own
 //    outgoing slots, and each slot has exactly one consumer, so rounds are
@@ -111,8 +111,8 @@ class Context {
   /// Schedule this node to run next round even if it receives nothing —
   /// the event-driven engine's knob for spontaneous activity (backlogs,
   /// timers). A node that neither receives nor requested a wakeup is NOT
-  /// stepped under the sparse engine. No-op under the dense sweep, where
-  /// every node runs anyway.
+  /// stepped. No-op under RunOptions::force_dense, where every node runs
+  /// anyway.
   void request_wakeup();
 
   /// Composite-algorithm support (congest::run_edge_disjoint): a view of
@@ -162,43 +162,34 @@ class Algorithm {
 
   /// Round 0: called once per node before any delivery; may send.
   virtual void start(Context& ctx) = 0;
-  /// Rounds >= 1: called once per node with that node's inbox; may send.
+  /// Rounds >= 1: called for a node with a non-empty inbox or a wakeup it
+  /// requested last round; may send. Contract: step() on a node with an
+  /// empty inbox must be a pure no-op — no sends, no state change, nothing
+  /// done() can observe — unless the node requested that wakeup, because
+  /// the dense reference sweep (RunOptions::force_dense) calls it anyway.
+  /// Per-round bookkeeping (e.g. QuiescenceDetector::note_round) belongs in
+  /// round_started(), which fires even on rounds where no node runs.
   virtual void step(Context& ctx) = 0;
   /// Global termination oracle, checked (single-threaded) after each round.
   /// This models the standard simulator convention: the paper's algorithms
   /// all have known round bounds, so termination detection is free.
   virtual bool done() const = 0;
 
-  /// Event-driven capability (opt-in). When true, the engine steps only
-  /// nodes with a non-empty inbox or a pending Context::request_wakeup().
-  /// Contract: step() on a node with an empty inbox must be a pure no-op —
-  /// no sends, no state change, nothing done() can observe — unless the
-  /// node requested a wakeup last round. Per-round bookkeeping (e.g.
-  /// QuiescenceDetector::note_round) must live in round_started(), which
-  /// fires even on rounds where no node runs.
-  virtual bool event_driven() const { return false; }
   /// Called once per round, single-threaded, before any handler of that
-  /// round (round 0 included), under BOTH engines.
+  /// round (round 0 included).
   virtual void round_started(std::uint64_t round) { (void)round; }
-
-  /// An algorithm may carry its own telemetry recorder (TraceRecorder
-  /// does); the engine attaches it when the caller supplied none in
-  /// RunOptions::telemetry (an explicit RunOptions recorder wins — one
-  /// recorder per run). Return nullptr (the default) to opt out.
-  virtual Telemetry* telemetry() { return nullptr; }
 };
 
 struct RunOptions {
   std::uint64_t max_rounds = 1'000'000;
-  /// Run node handlers in parallel when enough nodes are active.
-  bool parallel = true;
-  /// Collect per-arc send counts (cheap; on by default).
-  bool count_sends = true;
-  /// Force the legacy dense sweep (step every node every round) even for
-  /// event_driven() algorithms — the differential-test and baseline knob.
+  /// Step every node every round (the dense sweep) instead of only the
+  /// scheduled ones: the reference the differential tests and
+  /// bench_engine's `identical` rows compare the sparse engine against.
+  /// Results are bit-identical either way.
   bool force_dense = false;
   /// Pool for the handler rounds; null selects ThreadPool::global(). The
-  /// run is bit-identical for every pool size by construction.
+  /// run is bit-identical for every pool size by construction; a 1-thread
+  /// pool runs every handler on the calling thread.
   ThreadPool* pool = nullptr;
   /// Delivery goes parallel once a round sends at least this many messages:
   /// below it the serial stamp loop wins (no pool dispatch), above it the
@@ -222,7 +213,7 @@ struct RunOptions {
   /// counts. See congest/faults.hpp for the exact semantics per kind.
   const FaultPlan* faults = nullptr;
   /// Cooperative cancellation/deadline token, checked once at the top of
-  /// every round under BOTH engines (null = one branch per round, like
+  /// every round, dense or sparse (null = one branch per round, like
   /// telemetry kOff). An expired token truncates the run before the next
   /// round starts: RunResult::cancelled is set, `finished` stays false, and
   /// in-flight sends land in `undelivered`. See congest/cancel.hpp.
@@ -260,8 +251,7 @@ class Network {
   /// (0 otherwise): free for kAll/kActiveList, where every swept node runs,
   /// counted per worker only under the kActiveScan filter.
   std::uint64_t run_handlers(Algorithm& alg, std::uint64_t round, Sweep sweep,
-                             bool record_wakeups, ThreadPool& pool,
-                             bool parallel);
+                             bool record_wakeups, ThreadPool& pool);
 
   const Graph* graph_;
   ArcId arcs_ = 0;
@@ -295,10 +285,8 @@ class Network {
   std::atomic<std::uint64_t> fault_corrupted_{0};
   std::uint64_t messages_ = 0;
   std::uint64_t runs_started_ = 0;
-  bool counting_ = true;
   // Attached telemetry recorder for the current run (null = off). Valid
-  // only inside run(); resolved from RunOptions::telemetry with
-  // Algorithm::telemetry() as the fallback.
+  // only inside run(); taken from RunOptions::telemetry.
   Telemetry* tele_ = nullptr;
 };
 

@@ -25,8 +25,7 @@
 //
 // kInterleaved caveats (documented asymmetries, not accounting bugs):
 //  * per_instance[i].messages and arc_sends are sliced out of the union
-//    run's per-arc counts, so they need RunOptions::count_sends (the
-//    default); with counting off only the composite totals are reported.
+//    run's per-arc counts.
 //  * per_instance[i].undelivered is 0 — in-flight sends of the union run's
 //    final round are not split per instance.
 //  * a telemetry recorder sees ONE span for the whole composite instead of
@@ -83,8 +82,8 @@ struct EdgeDisjointInstance {
 
 /// How run_edge_disjoint executes its instances.
 enum class CompositeMode : std::uint8_t {
-  /// One engine run on the block-diagonal union graph; event-driven when
-  /// every instance is. The default: k instances pay one round loop.
+  /// One engine run on the block-diagonal union graph. The default: k
+  /// instances pay one round loop.
   kInterleaved,
   /// Legacy: each instance on its own Network, one after another. Kept
   /// selectable as the differential baseline for the interleaved mode.

@@ -53,20 +53,16 @@ SetupResult setup_phase(const Graph& g,
                         std::span<const algo::PlacedMessage> messages,
                         const FastBroadcastOptions& opts) {
   SetupResult out;
-  congest::RunOptions ropts;
-  ropts.max_rounds = opts.max_rounds;
-  ropts.force_dense = opts.force_dense;
-
   if (opts.elect_leader) {
     congest::Network net(g);
     algo::LeaderElection le(g);
-    const auto res = net.run(le, ropts);
+    const auto res = net.run(le, opts.engine);
     out.rounds += res.rounds;
     out.messages += res.messages;
     out.root = le.leader();
   }
 
-  auto bfs = algo::run_bfs(g, out.root, ropts);
+  auto bfs = algo::run_bfs(g, out.root, opts.engine);
   out.rounds += bfs.cost.rounds;
   out.messages += bfs.cost.messages;
   if (bfs.tree.covered != g.node_count())
@@ -77,7 +73,7 @@ SetupResult setup_phase(const Graph& g,
   for (const auto& m : messages) ++counts[m.origin];
   congest::Network net(g);
   algo::IdAssignment ids(g, bfs.tree, counts);
-  const auto res = net.run(ids, ropts);
+  const auto res = net.run(ids, opts.engine);
   out.rounds += res.rounds;
   out.messages += res.messages;
 
@@ -101,10 +97,6 @@ bool broadcast_over_parts(const Graph& g, NodeId root, std::uint32_t parts,
   const std::uint64_t k = numbered.size();
   EdgePartition partition = random_edge_partition(g, parts, seed);
 
-  congest::RunOptions ropts;
-  ropts.max_rounds = opts.max_rounds;
-  ropts.force_dense = opts.force_dense;
-
   // Concurrent BFS per part.
   std::vector<std::unique_ptr<algo::DistributedBfs>> bfs_algs;
   std::vector<congest::EdgeDisjointInstance> bfs_work;
@@ -112,7 +104,7 @@ bool broadcast_over_parts(const Graph& g, NodeId root, std::uint32_t parts,
     bfs_algs.push_back(std::make_unique<algo::DistributedBfs>(part.graph, root));
     bfs_work.push_back({&part, bfs_algs.back().get()});
   }
-  const auto bfs_res = congest::run_edge_disjoint(g, bfs_work, ropts);
+  const auto bfs_res = congest::run_edge_disjoint(g, bfs_work, opts.engine);
   report.part_bfs_rounds = bfs_res.rounds;
   report.messages += bfs_res.messages;
 
@@ -140,7 +132,7 @@ bool broadcast_over_parts(const Graph& g, NodeId root, std::uint32_t parts,
         partition.parts[i].graph, trees[i], assigned[i]));
     bc_work.push_back({&partition.parts[i], bc_algs.back().get()});
   }
-  const auto bc_res = congest::run_edge_disjoint(g, bc_work, ropts);
+  const auto bc_res = congest::run_edge_disjoint(g, bc_work, opts.engine);
   report.broadcast_rounds = bc_res.rounds;
   report.messages += bc_res.messages;
   report.max_edge_congestion = std::max(bfs_res.max_parent_edge_congestion(),
@@ -227,7 +219,7 @@ FastBroadcastReport run_fast_broadcast_oblivious(
     dopts.C = opts.C;
     dopts.seed = mix64(opts.seed, iter, 0x6f626c7376ULL);
     dopts.root = setup.root;
-    dopts.max_rounds = opts.max_rounds;
+    dopts.max_rounds = opts.engine.max_rounds;
     const Decomposition dec = decompose(g, lambda_tilde, dopts);
     report.search_rounds += dec.check_rounds;
     report.messages += dec.messages;
@@ -268,16 +260,13 @@ FastBroadcastReport run_textbook_broadcast(
   report.setup_rounds = setup.rounds;
   report.messages = setup.messages;
 
-  congest::RunOptions ropts;
-  ropts.max_rounds = opts.max_rounds;
-  ropts.force_dense = opts.force_dense;
-  auto bfs = algo::run_bfs(g, setup.root, ropts);
+  auto bfs = algo::run_bfs(g, setup.root, opts.engine);
   report.part_bfs_rounds = bfs.cost.rounds;
   report.messages += bfs.cost.messages;
 
   congest::Network net(g);
   algo::PipelineBroadcast alg(g, bfs.tree, setup.numbered);
-  const auto res = net.run(alg, ropts);
+  const auto res = net.run(alg, opts.engine);
   report.broadcast_rounds = res.rounds;
   report.messages += res.messages;
   report.max_edge_congestion = res.max_edge_congestion(g);

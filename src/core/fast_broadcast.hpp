@@ -28,12 +28,14 @@ struct FastBroadcastOptions {
   std::uint32_t max_retries = 8;
   /// Run leader election (adds O(D) rounds). When false, node 0 is root.
   bool elect_leader = true;
-  std::uint64_t max_rounds = 50'000'000;
   /// Diameter-budget slack multiplier for the oblivious validity check.
   double validity_slack = 4.0;
-  /// Run every engine execution with the legacy dense sweep instead of the
-  /// event-driven engine (differential-test / baseline knob).
-  bool force_dense = false;
+  /// Engine knobs for every engine execution: leader election, BFS,
+  /// numbering, the per-part BFS and the pipelined broadcasts (the
+  /// oblivious variant's validation sweeps take only max_rounds). The
+  /// per-part phases run as one composite (congest::run_edge_disjoint),
+  /// which rejects a fault plan.
+  congest::RunOptions engine{.max_rounds = 50'000'000};
 };
 
 struct FastBroadcastReport {

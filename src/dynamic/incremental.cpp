@@ -41,7 +41,6 @@ class LabelCorrect final : public congest::Algorithm {
   std::string name() const override {
     return wg_ != nullptr ? "dynamic/sssp" : "dynamic/bfs";
   }
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     quiescence_.note_round(round);
   }
@@ -194,16 +193,11 @@ IncrementalResult repair(const Graph& g, const WeightedGraph* wg,
   for (const std::uint8_t w : woken) res.woken += w;
 
   LabelCorrect alg(wg, dist, parent, woken);
-  congest::RunOptions ro;
-  ro.max_rounds = opts.max_rounds;
-  ro.parallel = opts.parallel;
-  ro.force_dense = opts.force_dense;
-  ro.pool = opts.pool;
   if (opts.network != nullptr && &opts.network->graph() == &g) {
-    res.run = opts.network->run(alg, ro);
+    res.run = opts.network->run(alg, opts.engine);
   } else {
     congest::Network net(g);
-    res.run = net.run(alg, ro);
+    res.run = net.run(alg, opts.engine);
   }
   return res;
 }

@@ -51,11 +51,7 @@ inline constexpr std::uint64_t kInfLabel =
     std::numeric_limits<std::uint64_t>::max() / 4;
 
 struct IncrementalOptions {
-  std::uint64_t max_rounds = 10'000'000;
-  bool parallel = true;
-  /// Dense-sweep engine instead of event-driven (differential knob).
-  bool force_dense = false;
-  ThreadPool* pool = nullptr;
+  congest::RunOptions engine{.max_rounds = 10'000'000};
   /// Warm engine to reuse; engaged only when bound to EXACTLY the current
   /// graph object (the serve layer's pooled Network).
   congest::Network* network = nullptr;

@@ -21,15 +21,11 @@ namespace fc::scenario {
 
 namespace {
 
-congest::RunOptions run_options(const ScenarioConfig& cfg) {
-  congest::RunOptions opts;
-  opts.max_rounds = cfg.max_rounds;
-  opts.force_dense = cfg.force_dense;
-  opts.telemetry = cfg.telemetry;
-  opts.pool = cfg.pool;
-  opts.faults = cfg.faults;
-  opts.cancel = cfg.cancel;
-  return opts;
+/// The composite apps (mst, batch-sssp, weighted-apsp) ignore the fault
+/// plan: their multi-phase round structure has no single fault clock.
+congest::RunOptions fault_free(congest::RunOptions engine) {
+  engine.faults = nullptr;
+  return engine;
 }
 
 /// Resolve the engine a scenario runs on: the caller's warm Network when it
@@ -92,7 +88,7 @@ ScenarioResult run_bfs_scenario(const Graph& g, const ScenarioConfig& cfg) {
   std::optional<congest::Network> local;
   congest::Network& net = engine_for(g, cfg, local);
   algo::DistributedBfs bfs(g, checked_root(g, cfg));
-  const auto cost = net.run(bfs, run_options(cfg));
+  const auto cost = net.run(bfs, cfg.engine);
   std::vector<std::uint64_t> sends;
   accumulate(r, cost, sends);
   finish(r, g, sends);
@@ -119,7 +115,7 @@ ScenarioResult run_batch_bfs_scenario(const Graph& g,
   congest::Network& net = engine_for(g, cfg, local);
   algo::BatchBfs alg(g, batch_sources(g, cfg));
   std::vector<std::uint64_t> sends;
-  accumulate(r, net.run(alg, run_options(cfg)), sends);
+  accumulate(r, net.run(alg, cfg.engine), sends);
   finish(r, g, sends);
   if (cfg.payload != nullptr) {
     for (std::uint32_t s = 0; s < alg.k(); ++s)
@@ -144,13 +140,8 @@ ScenarioResult run_batch_sssp_scenario(const WeightedGraph& g,
                                        const ScenarioConfig& cfg) {
   ScenarioResult r;
   const std::uint64_t k = cfg.sources != 0 ? cfg.sources : 1;
-  apps::BatchSsspOptions opts;
-  opts.max_rounds = cfg.max_rounds;
-  opts.force_dense = cfg.force_dense;
-  opts.telemetry = cfg.telemetry;
-  opts.pool = cfg.pool;
-  opts.network = cfg.network;
-  opts.cancel = cfg.cancel;
+  const apps::BatchSsspOptions opts{.engine = fault_free(cfg.engine),
+                                     .network = cfg.network};
   auto rep = apps::batch_sssp(g, batch_sources(g.graph(), cfg), opts);
   r.rounds = rep.rounds;
   r.messages = rep.messages;
@@ -180,7 +171,7 @@ ScenarioResult run_leader_scenario(const Graph& g, const ScenarioConfig& cfg) {
   std::optional<congest::Network> local;
   congest::Network& net = engine_for(g, cfg, local);
   algo::LeaderElection alg(g);
-  const auto cost = net.run(alg, run_options(cfg));
+  const auto cost = net.run(alg, cfg.engine);
   std::vector<std::uint64_t> sends;
   accumulate(r, cost, sends);
   finish(r, g, sends);
@@ -238,11 +229,11 @@ ScenarioResult run_broadcast_scenario(const Graph& full,
   std::optional<congest::Network> local;
   congest::Network& net = engine_for(g, cfg, local);
   algo::DistributedBfs bfs(g, root);
-  accumulate(r, net.run(bfs, run_options(cfg)), sends);
+  accumulate(r, net.run(bfs, cfg.engine), sends);
   const auto tree = algo::extract_tree(g, bfs);
 
   algo::PipelineBroadcast pipe(g, tree, std::move(msgs));
-  accumulate(r, net.run(pipe, run_options(cfg)), sends);
+  accumulate(r, net.run(pipe, cfg.engine), sends);
   finish(r, g, sends);
 
   bool complete = true;
@@ -265,14 +256,14 @@ ScenarioResult run_convergecast_scenario(const Graph& full,
   std::optional<congest::Network> local;
   congest::Network& net = engine_for(g, cfg, local);
   algo::DistributedBfs bfs(g, root);
-  accumulate(r, net.run(bfs, run_options(cfg)), sends);
+  accumulate(r, net.run(bfs, cfg.engine), sends);
   const auto tree = algo::extract_tree(g, bfs);
 
   // Aggregate sum of node ids: every node can verify n(n-1)/2.
   std::vector<std::uint64_t> values(g.node_count());
   for (NodeId v = 0; v < g.node_count(); ++v) values[v] = v;
   algo::Convergecast agg(g, tree, algo::AggregateOp::kSum, std::move(values));
-  accumulate(r, net.run(agg, run_options(cfg)), sends);
+  accumulate(r, net.run(agg, cfg.engine), sends);
   finish(r, g, sends);
   r.note = "sum=" + std::to_string(agg.result(root)) + w.note;
   return r;
@@ -338,7 +329,11 @@ ScenarioResult run_weighted_apsp_scenario(const WeightedGraph& full,
       std::max(1u, estimate_edge_connectivity(g.graph(), cfg.seed).value);
   apps::WeightedApspOptions opts;
   opts.seed = cfg.seed;
-  opts.broadcast.force_dense = cfg.force_dense;
+  // The broadcast keeps its own round cap and runs uncancelled.
+  const std::uint64_t cap = opts.broadcast.engine.max_rounds;
+  opts.broadcast.engine = fault_free(cfg.engine);
+  opts.broadcast.engine.max_rounds = cap;
+  opts.broadcast.engine.cancel = nullptr;
   const auto report =
       apps::approximate_apsp_weighted(g, lambda, cfg.stretch_k, opts);
   r.rounds = report.total_rounds;
@@ -357,13 +352,8 @@ ScenarioResult run_mst_scenario(const WeightedGraph& full,
   const WeightedWorkload w =
       weighted_root_component(full, checked_root(full.graph(), cfg));
   const WeightedGraph& g = w.get(full);
-  apps::MstOptions opts;
-  opts.max_rounds = cfg.max_rounds;
-  opts.force_dense = cfg.force_dense;
-  opts.telemetry = cfg.telemetry;
-  opts.pool = cfg.pool;
-  opts.cancel = cfg.cancel;
-  const auto rep = apps::distributed_mst(g, opts);
+  const auto rep =
+      apps::distributed_mst(g, {.engine = fault_free(cfg.engine)});
   r.rounds = rep.rounds;
   r.messages = rep.messages;
   r.finished = rep.finished;
@@ -402,15 +392,8 @@ ScenarioResult run_sssp_scenario(const WeightedGraph& full,
     }
     return r;
   }
-  apps::SsspOptions opts;
-  opts.max_rounds = cfg.max_rounds;
-  opts.force_dense = cfg.force_dense;
-  opts.telemetry = cfg.telemetry;
-  opts.pool = cfg.pool;
-  opts.network = cfg.network;
-  opts.faults = cfg.faults;
-  opts.cancel = cfg.cancel;
-  const auto rep = apps::distributed_sssp(g, w.root, opts);
+  const auto rep = apps::distributed_sssp(
+      g, w.root, {.engine = cfg.engine, .network = cfg.network});
   r.rounds = rep.rounds;
   r.messages = rep.messages;
   r.finished = rep.finished;

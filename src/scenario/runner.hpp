@@ -11,20 +11,10 @@
 #include <utility>
 #include <vector>
 
+#include "congest/network.hpp"
 #include "graph/graph.hpp"
 #include "graph/weighted_graph.hpp"
 #include "util/table.hpp"
-
-namespace fc {
-class ThreadPool;
-}
-
-namespace fc::congest {
-class CancelToken;
-class Network;
-class Telemetry;
-struct FaultPlan;
-}
 
 namespace fc::scenario {
 
@@ -69,7 +59,6 @@ struct ScenarioConfig {
   /// Messages for k-broadcast style workloads; 0 means "one per node".
   std::uint64_t k = 0;
   NodeId root = 0;
-  std::uint64_t max_rounds = 10'000'000;
   /// Stretch parameter for weighted-apsp: (2k-1)-approximation, Theorem 5.
   std::uint32_t stretch_k = 3;
   /// Source count for the batch workloads (batch-bfs, batch-sssp): queries
@@ -80,20 +69,38 @@ struct ScenarioConfig {
   /// Placement of those batch sources; run_spec() fills this from a spec's
   /// `source_mode=first|random` parameter when the caller left it kUnset.
   SourceMode source_mode = SourceMode::kUnset;
-  /// Run the legacy dense sweep (step every node every round) instead of
-  /// the event-driven engine. Reports are bit-identical either way — this
-  /// is the differential-test and baseline-measurement knob
-  /// (scenario_runner --engine=dense).
-  bool force_dense = false;
-  /// Telemetry recorder threaded through every engine execution of the
-  /// scenario (null = off). Multi-phase scenarios (broadcast = BFS + pipe,
-  /// MST's per-phase runs) share the one recorder, so its snapshot holds the
-  /// whole composite as consecutively-indexed spans. Recording never
-  /// changes the reported costs (scenario_runner --telemetry=...).
-  congest::Telemetry* telemetry = nullptr;
-  /// Thread pool for the engine rounds; null selects ThreadPool::global().
-  /// Results are bit-identical at every pool size by construction.
-  ThreadPool* pool = nullptr;
+  /// Engine knobs threaded through every engine execution of the scenario.
+  /// Which scenarios honour which knob:
+  ///
+  ///   knob        honoured by
+  ///   max_rounds  every scenario but weighted-apsp (its broadcast keeps
+  ///               FastBroadcastOptions' own cap)
+  ///   pool        every scenario; results are bit-identical at every size
+  ///   telemetry   every scenario. Multi-phase scenarios (broadcast = BFS +
+  ///               pipe, MST's per-phase runs) share the one recorder, so
+  ///               its snapshot holds the whole composite as
+  ///               consecutively-indexed spans. Recording never changes the
+  ///               reported costs (scenario_runner --telemetry=...).
+  ///   faults      the single-engine workloads — bfs, batch-bfs,
+  ///               leader-election, broadcast, convergecast, sssp. IGNORED
+  ///               by the composite apps (mst, weighted-apsp, batch-sssp),
+  ///               whose multi-phase round structure has no single
+  ///               well-defined fault clock yet.
+  ///   cancel      every scenario but weighted-apsp; the composite apps'
+  ///               next phase observes the token. Callers with hard
+  ///               deadlines should also check the clock after the run. A
+  ///               cancelled scenario sets ScenarioResult::cancelled and
+  ///               reports the work done up to the cut.
+  ///
+  /// Faults: the two-phase scenarios (broadcast, convergecast) re-apply the
+  /// plan from round 0 of EACH phase's engine run — the fault clock is per
+  /// run, so a permanent fault (crash/drop) at round r recurs at each
+  /// phase's round r rather than persisting across the phase boundary.
+  /// Fault ids are interpreted against the graph the engine actually runs
+  /// on: a scenario that restricts to the root's component applies them to
+  /// the RESTRICTED ids, so plans are best paired with connected graphs
+  /// (`largest_cc=1`).
+  congest::RunOptions engine{.max_rounds = 10'000'000};
   /// Warm engine to reuse (serve layer's Network pool): engaged only when
   /// it is bound to EXACTLY the graph a scenario would run on (same Graph
   /// object; scenarios that restrict to the root's component fall back to a
@@ -104,28 +111,6 @@ struct ScenarioConfig {
   /// Typed-result capture (null = off); see ScenarioPayload. The runner
   /// clear()s it before filling.
   ScenarioPayload* payload = nullptr;
-  /// Mid-run fault injection (null = fault-free; see congest/faults.hpp).
-  /// Supported by the single-engine workloads — bfs, batch-bfs,
-  /// leader-election, broadcast, convergecast, sssp — and IGNORED by the
-  /// composite apps (mst, weighted-apsp, batch-sssp), whose multi-phase
-  /// round structure has no single well-defined fault clock yet. The
-  /// two-phase scenarios (broadcast, convergecast) re-apply the plan from
-  /// round 0 of EACH phase's engine run — the fault clock is per run, so a
-  /// permanent fault (crash/drop) at round r recurs at each phase's round
-  /// r rather than persisting across the phase boundary. Fault ids
-  /// are interpreted against the graph the engine actually runs on: a
-  /// scenario that restricts to the root's component applies them to the
-  /// RESTRICTED ids, so plans are best paired with connected graphs
-  /// (`largest_cc=1`).
-  const congest::FaultPlan* faults = nullptr;
-  /// Cooperative cancellation/deadline token threaded through every engine
-  /// execution of the scenario (null = never cancels). Supported wherever
-  /// the engine runs — including the composite apps (mst, batch-sssp),
-  /// whose next phase observes the token — and IGNORED by weighted-apsp
-  /// (no RunOptions plumbing there yet); callers with hard deadlines
-  /// should also check the clock after the run. A cancelled scenario sets
-  /// ScenarioResult::cancelled and reports the work done up to the cut.
-  const congest::CancelToken* cancel = nullptr;
 };
 
 /// One algorithm run on one graph, in paper cost measures.
@@ -144,8 +129,9 @@ struct ScenarioResult {
   std::uint64_t arc_p50 = 0;
   std::uint64_t arc_p99 = 0;
   bool finished = false;
-  /// Some engine execution was truncated by ScenarioConfig::cancel; the
-  /// cost measures cover the work up to the cut (`finished` stays false).
+  /// Some engine execution was truncated by ScenarioConfig::engine.cancel;
+  /// the cost measures cover the work up to the cut (`finished` stays
+  /// false).
   bool cancelled = false;
   std::string note;  // algorithm-specific outcome, e.g. "depth=7"
 };

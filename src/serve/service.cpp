@@ -120,13 +120,13 @@ std::vector<std::string> Service::submit(const std::string& line) {
 namespace {
 
 /// Queries a batch primitive can answer together: same warm graph, same
-/// engine knobs — and an algorithm with a documented bit-identical batch
+/// round cap — and an algorithm with a documented bit-identical batch
 /// twin (bfs -> BatchBfs, sssp -> BatchBellmanFord).
 std::string coalesce_key(const std::string& pool_key,
                          const scenario::ScenarioConfig& cfg,
                          const std::string& algo) {
-  return algo + '\n' + pool_key + '\n' + (cfg.force_dense ? "d" : "e") +
-         '\n' + std::to_string(cfg.max_rounds);
+  return algo + '\n' + pool_key + '\n' +
+         std::to_string(cfg.engine.max_rounds);
 }
 
 }  // namespace
@@ -278,6 +278,13 @@ std::string Service::deadline_exceeded_response(std::uint64_t id,
   return error_response(id, ErrorCode::kDeadlineExceeded, message);
 }
 
+congest::RunOptions Service::bind_engine(const Query& q) const {
+  congest::RunOptions engine = q.cfg.engine;
+  engine.pool = opts_.pool;
+  engine.telemetry = active_telemetry_;
+  return engine;
+}
+
 std::string Service::run_one(
     const PendingQuery& p,
     const std::optional<Clock::time_point>& deadline) {
@@ -304,15 +311,14 @@ std::string Service::run_one(
               " exceeds the graph's n=" + std::to_string(g.node_count()));
 
     scenario::ScenarioConfig cfg = p.query.cfg;
-    cfg.pool = opts_.pool;
+    cfg.engine = bind_engine(p.query);
     cfg.network = entry.network.get();
-    cfg.telemetry = active_telemetry_;
     scenario::ScenarioPayload payload;
     if (p.query.want_payload) cfg.payload = &payload;
     congest::CancelToken token;
     if (deadline) {
       token.set_deadline(*deadline);
-      cfg.cancel = &token;
+      cfg.engine.cancel = &token;
     }
 
     const std::uint64_t runs_before = entry.network->runs_started();
@@ -413,11 +419,7 @@ void Service::run_coalesced_bfs(
   if (live.empty()) return;
 
   try {
-    congest::RunOptions ropts;
-    ropts.max_rounds = first.query.cfg.max_rounds;
-    ropts.force_dense = first.query.cfg.force_dense;
-    ropts.telemetry = active_telemetry_;
-    ropts.pool = opts_.pool;
+    congest::RunOptions ropts = bind_engine(first.query);
     congest::CancelToken token;
     if (const auto group = group_deadline_of(live, deadlines)) {
       token.set_deadline(*group);
@@ -526,16 +528,12 @@ void Service::run_coalesced_sssp(
   if (live.empty()) return;
 
   try {
-    apps::BatchSsspOptions opts;
-    opts.max_rounds = first.query.cfg.max_rounds;
-    opts.force_dense = first.query.cfg.force_dense;
-    opts.telemetry = active_telemetry_;
-    opts.pool = opts_.pool;
-    opts.network = entry->network.get();
+    apps::BatchSsspOptions opts{.engine = bind_engine(first.query),
+                                .network = entry->network.get()};
     congest::CancelToken token;
     if (const auto group = group_deadline_of(live, deadlines)) {
       token.set_deadline(*group);
-      opts.cancel = &token;
+      opts.engine.cancel = &token;
     }
     const std::uint64_t runs_before = entry->network->runs_started();
     auto rep = apps::batch_sssp(wg, sources, opts);

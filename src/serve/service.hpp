@@ -157,6 +157,9 @@ class Service {
 
   std::string run_one(const PendingQuery& p,
                       const std::optional<Clock::time_point>& deadline);
+  /// A query's engine knobs bound to this service's pool and the current
+  /// flush's telemetry recorder.
+  congest::RunOptions bind_engine(const Query& q) const;
   /// Count + build one deadline-exceeded error. `cancelled_rounds` is the
   /// engine work a cancelled execution burned (0 when nothing ran).
   std::string deadline_exceeded_response(std::uint64_t id,

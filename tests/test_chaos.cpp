@@ -55,9 +55,8 @@ namespace {
 /// the top of round K+1: RunResult::rounds == K+1, exactly.
 class EndlessChatter : public Algorithm {
  public:
-  EndlessChatter(CancelToken* token, std::uint64_t cancel_at,
-                 bool event_driven = false)
-      : token_(token), cancel_at_(cancel_at), event_driven_(event_driven) {}
+  EndlessChatter(CancelToken* token, std::uint64_t cancel_at)
+      : token_(token), cancel_at_(cancel_at) {}
   std::string name() const override { return "endless-chatter"; }
   void start(Context& ctx) override { blast(ctx); }
   void step(Context& ctx) override {
@@ -65,7 +64,6 @@ class EndlessChatter : public Algorithm {
     blast(ctx);
   }
   bool done() const override { return false; }
-  bool event_driven() const override { return event_driven_; }
   void round_started(std::uint64_t round) override {
     if (token_ != nullptr && round == cancel_at_) token_->cancel();
   }
@@ -77,7 +75,6 @@ class EndlessChatter : public Algorithm {
   }
   CancelToken* token_;
   std::uint64_t cancel_at_;
-  bool event_driven_;
 };
 
 std::uint64_t delivered_sum(const Telemetry& tele) {
@@ -98,7 +95,7 @@ TEST(EngineCancel, FlagStopsAtRoundBoundaryOnBothEnginesAllPools) {
       ThreadPool tp(threads);
       Network net(g);
       CancelToken token;
-      EndlessChatter alg(&token, kCancelAt, !dense);
+      EndlessChatter alg(&token, kCancelAt);
       Telemetry tele(TelemetryMode::kRounds);
       RunOptions opts;
       opts.max_rounds = 1000;
@@ -189,7 +186,7 @@ TEST(EngineCancel, ScenarioLayerPropagatesCancellation) {
   CancelToken token;
   token.cancel();
   scenario::ScenarioConfig cfg;
-  cfg.cancel = &token;
+  cfg.engine.cancel = &token;
   // bfs runs the engine directly; mst loops Boruvka phases; batch-sssp
   // drives the pipelined batch primitive — all must surface `cancelled`.
   for (const char* algo : {"bfs", "sssp", "mst", "batch-sssp"}) {
@@ -202,7 +199,7 @@ TEST(EngineCancel, ScenarioLayerPropagatesCancellation) {
   }
   // An un-expired token changes nothing.
   CancelToken live;
-  cfg.cancel = &live;
+  cfg.engine.cancel = &live;
   const auto ok = runner.run_spec(
       "bfs", "random_regular:n=64,d=4,seed=3,weights=1..50", cfg);
   EXPECT_TRUE(ok.finished);
@@ -444,13 +441,13 @@ TEST(ServeDuress, DeadlineExpiredInQueueAnswersBeforeExecution) {
 
 TEST(ServeDuress, DeadlineCancelsTheEngineMidRun) {
   Service service(ServiceOptions{});
-  // Dense-engine bfs on a 16k path sweeps all 16k nodes for each of its
-  // ~16k rounds — hundreds of milliseconds of engine time — so a 30ms
-  // deadline must be enforced by the token cancelling the run, not by the
-  // pre-run or post-run checks.
+  // 128 pipelined bfs queries on a 128x128 torus keep most of its 16k
+  // nodes busy for hundreds of rounds — hundreds of milliseconds of engine
+  // time — so a 30ms deadline must be enforced by the token cancelling the
+  // run, not by the pre-run or post-run checks.
   const auto out = service.submit(query_line(
-      "path:n=16000", "bfs",
-      "\"id\": 1, \"deadline_ms\": 30, \"engine\": \"dense\""));
+      "torus:rows=128,cols=128,sources=128", "batch-bfs",
+      "\"id\": 1, \"deadline_ms\": 30"));
   ASSERT_EQ(out.size(), 1u);
   const JsonValue r = parse_json(out.front());
   EXPECT_FALSE(r.flag("ok"));

@@ -164,8 +164,8 @@ TEST(Incremental, BitIdenticalToFullRecomputeAndSerialOracles) {
                    (ec.force_dense ? " dense" : " sparse"));
       ThreadPool tp(ec.threads);
       IncrementalOptions opts;
-      opts.pool = &tp;
-      opts.force_dense = ec.force_dense;
+      opts.engine.pool = &tp;
+      opts.engine.force_dense = ec.force_dense;
 
       DynamicScenario sc = DynamicScenario::parse(spec);
       DynamicBfs bfs(0);
@@ -249,8 +249,8 @@ TEST(Incremental, AllRegisteredAlgorithmsDeterministicOnChurnedGraphs) {
                    (ec.force_dense ? " dense" : " sparse"));
       ThreadPool tp(ec.threads);
       scenario::ScenarioConfig cfg;
-      cfg.pool = &tp;
-      cfg.force_dense = ec.force_dense;
+      cfg.engine.pool = &tp;
+      cfg.engine.force_dense = ec.force_dense;
       if (algo.rfind("batch", 0) == 0) cfg.sources = 3;
       const scenario::ScenarioResult got =
           runner.run(algo, sc.weighted(), "churned", cfg);
@@ -528,10 +528,11 @@ TEST(Fuzz, RandomChurnKeepsSparseParallelEqualToDenseSerial) {
     SCOPED_TRACE(spec);
     DynamicScenario sc = DynamicScenario::parse(spec);
 
-    IncrementalOptions sparse;  // event-driven, global pool, parallel
+    IncrementalOptions sparse;  // event-driven, global pool
     IncrementalOptions dense;
-    dense.force_dense = true;
-    dense.parallel = false;
+    ThreadPool serial(1);
+    dense.engine.force_dense = true;
+    dense.engine.pool = &serial;
 
     DynamicBfs bfs(0);
     DynamicSssp sssp(0);

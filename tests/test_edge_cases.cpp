@@ -63,18 +63,6 @@ TEST(EdgeCases, NodeWithNoEdgesIsHarmless) {
   EXPECT_EQ(g.degree(2), 0u);
 }
 
-TEST(EdgeCases, CountSendsOffStillRuns) {
-  const Graph g = gen::cycle(6);
-  congest::Network net(g);
-  Echo alg(4);
-  congest::RunOptions opts;
-  opts.count_sends = false;
-  const auto res = net.run(alg, opts);
-  EXPECT_TRUE(res.finished);
-  EXPECT_TRUE(res.arc_sends.empty());  // metering disabled: no per-arc counts
-  EXPECT_EQ(res.max_edge_congestion(g), 0u);
-}
-
 TEST(EdgeCases, FastBroadcastDeterministicInSeed) {
   Rng rng(5);
   const Graph g = gen::random_regular(96, 24, rng);

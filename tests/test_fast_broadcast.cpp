@@ -5,7 +5,9 @@
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "lb/bit_meter.hpp"
+#include "scenario/spec.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fc::core {
 namespace {
@@ -171,6 +173,37 @@ TEST(FastBroadcast, CutTrafficRespectsInformationBound) {
   // have crossed the 3-edge bridge cut, so rounds >= k/3.
   EXPECT_GE(static_cast<double>(report.total_rounds),
             theorem3_lower_bound(k, 3));
+}
+
+TEST(FastBroadcast, ReportIdenticalAcrossEnginePoolsAndSweeps) {
+  // Every engine execution of Theorem 1 (leader election, BFS, numbering,
+  // per-part BFS, pipelined broadcasts) takes the one embedded RunOptions:
+  // the report must not depend on the pool size or on the dense sweep.
+  const Graph g = scenario::build_graph("random_regular:n=256,d=32,seed=1");
+  Rng rng(7);
+  const auto msgs = random_messages(g, 512, rng);
+  const FastBroadcastReport want = run_fast_broadcast(g, 32, msgs);
+  ASSERT_TRUE(want.complete) << want.str();
+  for (const bool dense : {false, true}) {
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(std::to_string(threads) + (dense ? " dense" : " sparse"));
+      ThreadPool pool(threads);
+      FastBroadcastOptions opts;
+      opts.engine.pool = &pool;
+      opts.engine.force_dense = dense;
+      const FastBroadcastReport got = run_fast_broadcast(g, 32, msgs, opts);
+      EXPECT_EQ(got.parts, want.parts);
+      EXPECT_EQ(got.setup_rounds, want.setup_rounds);
+      EXPECT_EQ(got.part_bfs_rounds, want.part_bfs_rounds);
+      EXPECT_EQ(got.broadcast_rounds, want.broadcast_rounds);
+      EXPECT_EQ(got.search_rounds, want.search_rounds);
+      EXPECT_EQ(got.total_rounds, want.total_rounds);
+      EXPECT_EQ(got.messages, want.messages);
+      EXPECT_EQ(got.max_edge_congestion, want.max_edge_congestion);
+      EXPECT_EQ(got.retries, want.retries);
+      EXPECT_EQ(got.complete, want.complete);
+    }
+  }
 }
 
 TEST(Predictions, Formulas) {

@@ -32,13 +32,15 @@ class PingPong : public Algorithm {
 };
 
 /// Every node sends its id to all neighbours in round 0 and records what it
-/// hears in round 1.
+/// hears in round 1. The round-1 wakeup steps isolated nodes too, which
+/// hear nothing but still count as finished.
 class HelloAll : public Algorithm {
  public:
   explicit HelloAll(const Graph& g) : heard_(g.node_count()) {}
   void start(Context& ctx) override {
     for (ArcId a = ctx.arc_begin(); a < ctx.arc_end(); ++a)
       ctx.send(a, {1, ctx.id(), 0});
+    ctx.request_wakeup();
   }
   void step(Context& ctx) override {
     if (ctx.round() != 1) return;
@@ -148,8 +150,9 @@ TEST(Network, SerialAndParallelAgree) {
   const Graph g = gen::circulant(600, 3);  // big enough to trigger threads
   Network net1(g), net2(g);
   HelloAll a1(g), a2(g);
-  const auto r1 = net1.run(a1, {.parallel = false});
-  const auto r2 = net2.run(a2, {.parallel = true});
+  ThreadPool serial(1), parallel(8);
+  const auto r1 = net1.run(a1, {.pool = &serial});
+  const auto r2 = net2.run(a2, {.pool = &parallel});
   EXPECT_EQ(r1.rounds, r2.rounds);
   EXPECT_EQ(r1.messages, r2.messages);
   EXPECT_EQ(a1.heard_, a2.heard_);
@@ -180,7 +183,8 @@ TEST(Network, ReuseAcrossPoolsAndAfterThrow) {
 
   Network net(g);
   DoubleSender bad;
-  EXPECT_THROW(net.run(bad, {.max_rounds = 3, .parallel = false}),
+  ThreadPool serial(1);
+  EXPECT_THROW(net.run(bad, {.max_rounds = 3, .pool = &serial}),
                std::logic_error);
   for (const std::size_t threads : {8, 2, 1, 8}) {
     SCOPED_TRACE(threads);

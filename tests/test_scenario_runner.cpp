@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "congest/faults.hpp"
 #include "scenario/spec.hpp"
 
 namespace fc::scenario {
@@ -179,6 +180,38 @@ TEST(ScenarioRunner, WeightedApspRestrictsToRootComponent) {
   EXPECT_LE(r.nodes, 64u);
   if (r.nodes < 64u)
     EXPECT_NE(r.note.find("cc="), std::string::npos);
+}
+
+TEST(ScenarioRunner, CompositeAppsIgnoreFaults) {
+  // ScenarioConfig::engine's table: mst, batch-sssp and weighted-apsp run
+  // without the fault plan, so their reports equal the fault-free ones.
+  const ScenarioRunner runner;
+  const std::string spec = "random_regular:n=64,d=6,seed=1,weights=1..100";
+  congest::FaultPlan plan;
+  plan.crash_node(1, 5);
+  plan.drop_edge(0, 0);
+  plan.corrupt_edge(2, 7);
+  ScenarioConfig clean;
+  clean.sources = 3;
+  ScenarioConfig faulted = clean;
+  faulted.engine.faults = &plan;
+  // The plan is not a no-op: a faultable scenario does see it.
+  EXPECT_NE(runner.run_spec("sssp", spec, clean).note,
+            runner.run_spec("sssp", spec, faulted).note);
+  for (const char* algo : {"mst", "batch-sssp", "weighted-apsp"}) {
+    SCOPED_TRACE(algo);
+    const auto want = runner.run_spec(algo, spec, clean);
+    const auto got = runner.run_spec(algo, spec, faulted);
+    EXPECT_EQ(got.rounds, want.rounds);
+    EXPECT_EQ(got.messages, want.messages);
+    EXPECT_EQ(got.max_arc_congestion, want.max_arc_congestion);
+    EXPECT_EQ(got.max_edge_congestion, want.max_edge_congestion);
+    EXPECT_EQ(got.arc_p50, want.arc_p50);
+    EXPECT_EQ(got.arc_p99, want.arc_p99);
+    EXPECT_EQ(got.finished, want.finished);
+    EXPECT_EQ(got.cancelled, want.cancelled);
+    EXPECT_EQ(got.note, want.note);
+  }
 }
 
 TEST(ScenarioRunner, TopologyAlgorithmAcceptsWeightedGraphAndViceVersa) {

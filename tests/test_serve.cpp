@@ -336,6 +336,10 @@ TEST(ServeErrors, EveryMalformedLineGetsTypedErrorAndServiceKeepsServing) {
       {"{\"id\": 12, \"cmd\": \"reboot\"}", "bad-request", 12},
       {"{\"id\": 13, \"cmd\": \"flush\", \"spec\": \"x\"}", "bad-request",
        13},
+      // the dense reference sweep is a library knob, not a wire field
+      {"{\"id\": 20, \"spec\": \"x\", \"algo\": \"bfs\", "
+       "\"engine\": \"dense\"}",
+       "bad-request", 20},
       // shape fine, content resolvable only against the registry/graph
       {"{\"id\": 14, \"spec\": \"thick_cycle:groups=8,width=4\", "
        "\"algo\": \"quantum-walk\"}",

@@ -371,7 +371,7 @@ TEST(Telemetry, MstPhasesAppearAsSpansAndAnnotations) {
   const WeightedGraph g = scenario::build_weighted_graph(kSpecs[3]);
   Telemetry tele(TelemetryMode::kFull);
   apps::MstOptions opts;
-  opts.telemetry = &tele;
+  opts.engine.telemetry = &tele;
   const apps::MstReport rep = apps::distributed_mst(g, opts);
   ASSERT_TRUE(rep.finished);
   const TelemetrySnapshot snap = tele.snapshot();
@@ -404,7 +404,7 @@ TEST(Telemetry, BatchSsspGenerationsAreAnnotated) {
   const WeightedGraph g = scenario::build_weighted_graph(kSpecs[0]);
   Telemetry tele(TelemetryMode::kFull);
   apps::BatchSsspOptions opts;
-  opts.telemetry = &tele;
+  opts.engine.telemetry = &tele;
   const auto sources = apps::default_sources(g.graph(), 4);
   const apps::BatchSsspReport rep = apps::batch_sssp(g, sources, opts);
   ASSERT_TRUE(rep.finished);
@@ -420,7 +420,7 @@ TEST(Telemetry, AnnotationsAreOffOutsideFullMode) {
   const WeightedGraph g = scenario::build_weighted_graph(kSpecs[3]);
   Telemetry tele(TelemetryMode::kRounds);
   apps::MstOptions opts;
-  opts.telemetry = &tele;
+  opts.engine.telemetry = &tele;
   apps::distributed_mst(g, opts);
   EXPECT_TRUE(tele.snapshot().annotations.empty());
 }
@@ -462,10 +462,10 @@ TelemetrySnapshot composite_snapshot(Telemetry& tele) {
   const WeightedGraph g =
       scenario::build_weighted_graph("dumbbell:s=24,bridges=3,weights=1..9");
   apps::MstOptions mst_opts;
-  mst_opts.telemetry = &tele;
+  mst_opts.engine.telemetry = &tele;
   apps::distributed_mst(g, mst_opts);
   apps::SsspOptions sssp_opts;
-  sssp_opts.telemetry = &tele;
+  sssp_opts.engine.telemetry = &tele;
   apps::distributed_sssp(g, 0, sssp_opts);
   return tele.snapshot();
 }
@@ -540,7 +540,7 @@ TEST(TelemetryExport, RoundsModeExportsHaveNoTimers) {
   const WeightedGraph g = scenario::build_weighted_graph(kSpecs[0]);
   Telemetry tele(TelemetryMode::kRounds);
   apps::SsspOptions opts;
-  opts.telemetry = &tele;
+  opts.engine.telemetry = &tele;
   apps::distributed_sssp(g, 0, opts);
   const TelemetrySnapshot snap = tele.snapshot();
   ASSERT_EQ(snap.series.size(), snap.rounds);
