@@ -16,8 +16,8 @@
 //   * messages>>n  — batch-bfs with k=256 sources on the expander: every
 //                    round delivers far more messages than there are
 //                    nodes, so delivery stamping (not handler dispatch)
-//                    is the bottleneck. The regime the parallel stamp
-//                    pass exists for; CI asserts its row stays identical.
+//                    is the bottleneck; CI asserts its row stays
+//                    identical.
 //
 // Both engines must produce bit-identical results (rounds, messages,
 // per-arc sends) — the harness checks and prints it. `--quick` shrinks n
@@ -28,12 +28,8 @@
 // off vs rounds vs full recording on the deep-path and expander regimes.
 // CI guards "rounds" mode at <= 5% overhead on deep path, the contract
 // that makes the counter series safe to leave on (docs/OBSERVABILITY.md).
-//
-// Experiment N3 (built-in grid only): the delivery stamp pass itself —
-// serial loop (parallel_stamp_threshold = SIZE_MAX) vs the per-worker
-// parallel pass (threshold 0) on the messages>>n workload, sparse engine
-// both times. Results must be bit-identical; the speedup is the tentpole
-// measurement for the parallel stamp pass.
+// Each row also carries the mean minor page faults per run of each mode,
+// so a tripped guard shows whether fresh pages, not the hook, cost it.
 //
 // Experiment N4 (built-in grid only): composite edge-disjoint execution —
 // run_edge_disjoint in legacy kSequential mode (one Network per instance)
@@ -45,9 +41,10 @@
 
 #include "bench_common.hpp"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <memory>
 
 #include "algo/bfs.hpp"
@@ -69,28 +66,19 @@ struct EngineRun {
   double rounds_per_sec = 0.0;
 };
 
-/// Run (fresh algorithm, fresh network, fresh telemetry recorder)
-/// repeatedly until >= 0.2 s of engine time accumulates (50 reps cap), so
-/// the short expander/star runs are timed above clock noise while the long
-/// path runs cost one rep.
-EngineRun run_engine(const Graph& g, const AlgFactory& make, bool force_dense,
-                     congest::TelemetryMode tmode =
-                         congest::TelemetryMode::kOff,
-                     std::size_t stamp_threshold =
-                         congest::RunOptions{}.parallel_stamp_threshold,
-                     ThreadPool* pool = nullptr) {
+/// Run (fresh algorithm, fresh network) repeatedly until >= 0.2 s of
+/// engine time accumulates (50 reps cap), so the short expander/star runs
+/// are timed above clock noise while the long path runs cost one rep.
+EngineRun run_engine(const Graph& g, const AlgFactory& make,
+                     bool force_dense) {
   EngineRun out;
   congest::RunOptions opts;
   opts.force_dense = force_dense;
-  opts.parallel_stamp_threshold = stamp_threshold;
-  opts.pool = pool;
   double total_ms = 0.0;
   std::uint64_t reps = 0;
   while (reps < 50 && (reps == 0 || total_ms < 200.0)) {
     const auto alg = make(g);
     congest::Network net(g);
-    congest::Telemetry telemetry(tmode);
-    opts.telemetry = telemetry.enabled() ? &telemetry : nullptr;
     const auto t0 = std::chrono::steady_clock::now();
     auto res = net.run(*alg, opts);
     const auto t1 = std::chrono::steady_clock::now();
@@ -104,6 +92,13 @@ EngineRun run_engine(const Graph& g, const AlgFactory& make, bool force_dense,
                                  out.ms_per_run
                            : 0.0;
   return out;
+}
+
+/// Minor page faults this process has taken so far.
+std::uint64_t minor_faults() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return static_cast<std::uint64_t>(ru.ru_minflt);
 }
 
 struct Workload {
@@ -217,7 +212,10 @@ void run_comparison(const std::vector<Workload>& workloads,
 /// (tens of thousands of rounds that each do almost no work) — plus the
 /// expander regime, where real per-round work dilutes the overhead. The
 /// "rounds" mode is the one meant to stay on in production; CI guards its
-/// deep-path overhead at <= 5%.
+/// deep-path overhead at <= 5%. Beside each mode's time the row records its
+/// mean minor page faults per run: a fresh recorder's sample buffer can
+/// land on fresh pages, and those faults, not the hook, then dominate the
+/// overhead ratio.
 void run_telemetry_overhead(bool quick, const std::string& cache,
                             JsonReport& report) {
   banner("N2 / telemetry overhead",
@@ -225,7 +223,7 @@ void run_telemetry_overhead(bool quick, const std::string& cache,
          "no clocks) vs full (phase timers + histograms + annotations); "
          "sparse engine, worst case = deep path.");
   Table table({"regime", "graph", "off ms", "rounds ms", "full ms",
-               "rounds ovh %", "full ovh %"});
+               "rounds ovh %", "full ovh %", "faults off/rounds/full"});
   const std::string path_n = quick ? "20000" : "100000";
   const std::string side = quick ? "40" : "70";
   const std::vector<std::pair<std::string, std::string>> regimes = {
@@ -238,111 +236,70 @@ void run_telemetry_overhead(bool quick, const std::string& cache,
                         ? scenario::Registry::instance().build(spec)
                         : scenario::load_or_generate(spec, cache);
     const auto make = make_bfs();
+    // Minimum time and total minor faults of one mode's timed runs.
+    struct ModeStats {
+      double ms = 1e300;
+      std::uint64_t faults = 0;
+    };
     // One timed run of bfs on g under `tmode` (fresh everything, like
-    // run_engine's reps).
-    const auto one = [&](congest::TelemetryMode tmode) {
+    // run_engine's reps), folded into `stats`; returns its time.
+    const auto one = [&](congest::TelemetryMode tmode, ModeStats& stats) {
       const auto alg = make(g);
       congest::Network net(g);
       congest::Telemetry telemetry(tmode);
       congest::RunOptions opts;
       opts.telemetry = telemetry.enabled() ? &telemetry : nullptr;
+      const std::uint64_t f0 = minor_faults();
       const auto t0 = std::chrono::steady_clock::now();
       net.run(*alg, opts);
       const auto t1 = std::chrono::steady_clock::now();
-      return std::chrono::duration<double, std::milli>(t1 - t0).count();
+      stats.faults += minor_faults() - f0;
+      const double ms =
+          std::chrono::duration<double, std::milli>(t1 - t0).count();
+      stats.ms = std::min(stats.ms, ms);
+      return ms;
     };
     // Interleave the three modes rep by rep and keep each mode's MINIMUM:
     // the modes see the same thermal/frequency drift, and the minimum is
     // the run least disturbed by scheduler noise — the right statistic for
-    // an overhead ratio on a shared machine.
-    const double est = one(congest::TelemetryMode::kOff);
+    // an overhead ratio on a shared machine. The warm-up run sizes the
+    // rep count; its faults are not counted.
+    ModeStats off, rounds, full;
+    const double est = one(congest::TelemetryMode::kOff, off);
+    off.faults = 0;
     const auto reps = static_cast<std::uint64_t>(
         std::clamp(150.0 / std::max(est, 1e-3), 5.0, 60.0));
-    double off = est, rounds = 1e300, full = 1e300;
     for (std::uint64_t i = 0; i < reps; ++i) {
-      off = std::min(off, one(congest::TelemetryMode::kOff));
-      rounds = std::min(rounds, one(congest::TelemetryMode::kRounds));
-      full = std::min(full, one(congest::TelemetryMode::kFull));
+      one(congest::TelemetryMode::kOff, off);
+      one(congest::TelemetryMode::kRounds, rounds);
+      one(congest::TelemetryMode::kFull, full);
     }
     const auto pct = [&](double ms) {
-      return off > 0.0 ? (ms / off - 1.0) * 100.0 : 0.0;
+      return off.ms > 0.0 ? (ms / off.ms - 1.0) * 100.0 : 0.0;
     };
-    table.add_row({regime, spec.to_string(), Table::num(off, 2),
-                   Table::num(rounds, 2), Table::num(full, 2),
-                   Table::num(pct(rounds), 1), Table::num(pct(full), 1)});
+    const auto per_run = [&](const ModeStats& m) {
+      return static_cast<double>(m.faults) / static_cast<double>(reps);
+    };
+    table.add_row({regime, spec.to_string(), Table::num(off.ms, 2),
+                   Table::num(rounds.ms, 2), Table::num(full.ms, 2),
+                   Table::num(pct(rounds.ms), 1), Table::num(pct(full.ms), 1),
+                   Table::num(per_run(off), 1) + "/" +
+                       Table::num(per_run(rounds), 1) + "/" +
+                       Table::num(per_run(full), 1)});
     report.row()
         .add("regime", "telemetry-overhead")
         .add("graph", spec.to_string())
         .add("algo", "bfs")
-        .add("off_ms", off)
-        .add("rounds_ms", rounds)
-        .add("full_ms", full)
-        .add("rounds_overhead_pct", pct(rounds))
-        .add("full_overhead_pct", pct(full));
+        .add("off_ms", off.ms)
+        .add("rounds_ms", rounds.ms)
+        .add("full_ms", full.ms)
+        .add("rounds_overhead_pct", pct(rounds.ms))
+        .add("full_overhead_pct", pct(full.ms))
+        .add("off_faults", per_run(off))
+        .add("rounds_faults", per_run(rounds))
+        .add("full_faults", per_run(full));
   }
   table.print(std::cout);
-}
-
-/// Experiment N3: the delivery stamp pass in isolation. Sparse engine both
-/// times on the messages>>n workload; the only difference is
-/// RunOptions::parallel_stamp_threshold — SIZE_MAX pins the serial stamp
-/// loop, 0 routes every non-list round through the per-worker parallel
-/// pass. Bit-identical results are enforced (the engine's contract); the
-/// speedup is what the parallel pass buys on a delivery-bound round.
-void run_parallel_stamp(bool quick, const std::string& cache,
-                        JsonReport& report) {
-  banner("N3 / parallel delivery stamping",
-         "serial vs parallel receiver stamping on the messages>>n regime "
-         "(sparse engine, batch-bfs k=256): identical results required, "
-         "speedup = serial_ms / parallel_ms.");
-  const std::string side = quick ? "40" : "70";
-  const auto spec = scenario::GraphSpec::parse("margulis:side=" + side);
-  const Graph g = cache.empty() ? scenario::Registry::instance().build(spec)
-                                : scenario::load_or_generate(spec, cache);
-  const auto make = make_batch_bfs(256);
-  // At least two workers so the parallel branch actually executes even on
-  // a single-core runner (where it measures ~1.0x, honestly); both runs
-  // share the pool so handler dispatch costs cancel out of the ratio.
-  ThreadPool pool(std::max<std::size_t>(2, ThreadPool::global().size()));
-  const auto serial =
-      run_engine(g, make, /*force_dense=*/false, congest::TelemetryMode::kOff,
-                 std::numeric_limits<std::size_t>::max(), &pool);
-  const auto par =
-      run_engine(g, make, /*force_dense=*/false, congest::TelemetryMode::kOff,
-                 /*threshold=*/0, &pool);
-  const bool identical = serial.result.rounds == par.result.rounds &&
-                         serial.result.messages == par.result.messages &&
-                         serial.result.finished == par.result.finished &&
-                         serial.result.arc_sends == par.result.arc_sends;
-  const double speedup =
-      par.ms_per_run > 0.0 ? serial.ms_per_run / par.ms_per_run : 0.0;
-  Table table({"graph", "algo", "pool", "rounds", "messages", "serial ms",
-               "parallel ms", "speedup", "identical"});
-  table.add_row({spec.to_string(), "batch-bfs k=256",
-                 Table::num(std::size_t{pool.size()}),
-                 Table::num(std::size_t{par.result.rounds}),
-                 Table::num(std::size_t{par.result.messages}),
-                 Table::num(serial.ms_per_run, 2),
-                 Table::num(par.ms_per_run, 2), Table::num(speedup, 2),
-                 identical ? "yes" : "NO"});
-  table.print(std::cout);
-  report.row()
-      .add("regime", "parallel-stamp")
-      .add("graph", spec.to_string())
-      .add("algo", "batch-bfs k=256")
-      .add("pool", std::uint64_t{pool.size()})
-      .add("n", std::uint64_t{g.node_count()})
-      .add("m", std::uint64_t{g.edge_count()})
-      .add("rounds", par.result.rounds)
-      .add("messages", par.result.messages)
-      .add("serial_stamp_ms", serial.ms_per_run)
-      .add("parallel_stamp_ms", par.ms_per_run)
-      .add("stamp_speedup", speedup)
-      .add("identical", identical);
-  if (!identical)
-    throw std::runtime_error(
-        "bench_engine: serial and parallel stamp passes disagree on " +
-        spec.to_string());
 }
 
 /// Experiment N4: composite edge-disjoint execution. A 4-part
@@ -463,11 +420,10 @@ int main(int argc, char** argv) {
     report.meta("mode", quick ? "quick" : "full");
     bench::add_run_metadata(report);
     bench::run_comparison(work, cache, report);
-    // The overhead, stamp, and composite regimes use their own built-in
+    // The overhead and composite regimes use their own built-in
     // graphs; custom --graph invocations stay a pure two-engine comparison.
     if (custom.empty()) {
       bench::run_telemetry_overhead(quick, cache, report);
-      bench::run_parallel_stamp(quick, cache, report);
       bench::run_composite(quick, cache, report);
     }
     std::cout << "wrote " << report.write() << "\n";

@@ -1,7 +1,6 @@
 #include "congest/network.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
 namespace fc::congest {
@@ -318,63 +317,19 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
         }
         w.wakeup.clear();
       }
-    } else if (workers > 1 && sent >= opts.parallel_stamp_threshold) {
-      // Parallel stamp: pool workers split the per-worker receiver lists.
-      // Every writer of one stamp writes the same value `next`, so relaxed
-      // atomic stores are enough; when telemetry wants the unique-receiver
-      // count, the first writer CAS-claims the stamp, counting each
-      // receiver exactly once — the size of a set, identical under every
-      // interleaving and pool size. Wakeup stamps follow serially (they
-      // are bounded by n, not messages) so that, as in the serial branch,
-      // a node that is both woken and a receiver counts as a receiver.
-      std::vector<std::uint64_t> uniq(tele_ != nullptr ? workers : 0, 0);
-      const bool want_receivers = tele_ != nullptr;
-      pool.parallel_chunks(
-          workers, [&](std::size_t w, std::size_t begin, std::size_t end) {
-            std::uint64_t mine = 0;
-            for (std::size_t li = begin; li < end; ++li) {
-              for (const NodeId to : worker_[li].recv) {
-                std::atomic_ref<std::uint64_t> stamp(sched_stamp_[to]);
-                if (!want_receivers) {
-                  stamp.store(next, std::memory_order_relaxed);
-                  continue;
-                }
-                std::uint64_t seen = stamp.load(std::memory_order_relaxed);
-                while (seen != next &&
-                       !stamp.compare_exchange_weak(
-                           seen, next, std::memory_order_relaxed)) {
-                }
-                if (seen != next) ++mine;  // this worker claimed the stamp
-              }
-            }
-            if (want_receivers) uniq[w] = mine;
-          });
-      for (WorkerScratch& w : worker_) {
-        w.recv.clear();
-        for (const NodeId v : w.wakeup) sched_stamp_[v] = next;
-        w.wakeup.clear();
-      }
-      for (const std::uint64_t u : uniq) receivers += u;
-    } else if (tele_ != nullptr) {
-      // Telemetry needs the unique-receiver count, so the stamp pass pays
-      // the dedup branch the plain path below avoids.
+    } else {
+      // Stamp all: a plain store per receiver, with the unique-receiver
+      // count (telemetry's with_input) folded in branch-free. Wakeups are
+      // stamped only after every receiver is counted, so a node that both
+      // receives and wakes still counts as a receiver.
       for (WorkerScratch& w : worker_) {
         for (const NodeId to : w.recv) {
-          if (sched_stamp_[to] != next) {
-            sched_stamp_[to] = next;
-            ++receivers;
-          }
+          receivers += sched_stamp_[to] != next;
+          sched_stamp_[to] = next;
         }
         w.recv.clear();
       }
       for (WorkerScratch& w : worker_) {
-        for (const NodeId v : w.wakeup) sched_stamp_[v] = next;
-        w.wakeup.clear();
-      }
-    } else {
-      for (WorkerScratch& w : worker_) {
-        for (const NodeId to : w.recv) sched_stamp_[to] = next;
-        w.recv.clear();
         for (const NodeId v : w.wakeup) sched_stamp_[v] = next;
         w.wakeup.clear();
       }

@@ -16,13 +16,12 @@
 //  * Message slots are per-directed-edge and DOUBLE-BUFFERED: one half of
 //    the flat slot array receives this round's sends while handlers read
 //    last round's half. End-of-round delivery is an O(1) offset flip plus
-//    an O(messages) pass over the per-worker receiver lists that stamps
-//    each receiver; nothing is copied, merged, or sorted. Once a round's
-//    send volume crosses RunOptions::parallel_stamp_threshold the stamp
-//    pass itself runs on the pool — receiver stamps become relaxed atomic
-//    stores (every writer writes the same round number, so the value is
-//    well-defined under any interleaving), which keeps the messages >> n
-//    regime at memory bandwidth instead of single-core store throughput.
+//    one serial O(messages + wakeups) pass over the per-worker receiver
+//    and wakeup lists that stamps each scheduled node; nothing is copied,
+//    merged, or sorted. The pass has two shapes: sparse rounds (< n/8
+//    activity) dedup into an active list for the next round, all others
+//    stamp with a plain store. It stays serial because a pooled stamp
+//    pass measured no faster even at messages >> n (0.69-1.09x).
 //  * A node's inbox is materialized on the worker thread that runs its
 //    handler, by scanning the node's contiguous arc range for full
 //    reverse-arc slots (skipped entirely when the receiver stamp says the
@@ -189,18 +188,9 @@ struct RunOptions {
   bool force_dense = false;
   /// Pool for the handler rounds; null selects ThreadPool::global(). The
   /// run is bit-identical for every pool size by construction; a 1-thread
-  /// pool runs every handler on the calling thread.
+  /// pool runs every handler on the calling thread. Delivery stamping is
+  /// always serial on the calling thread, whatever the pool.
   ThreadPool* pool = nullptr;
-  /// Delivery goes parallel once a round sends at least this many messages:
-  /// below it the serial stamp loop wins (no pool dispatch), above it the
-  /// per-worker receiver lists are stamped concurrently with relaxed atomic
-  /// stores (CAS-claimed when telemetry needs the unique-receiver count).
-  /// Rounds that build an active list (< n/8 activity) always stamp
-  /// serially — they are cheap by definition and keep the list's
-  /// construction order pool-independent. Results are bit-identical either
-  /// way; the knob exists for benchmarks (SIZE_MAX = measure the serial
-  /// pass) and tests (small = force the parallel pass on tiny graphs).
-  std::size_t parallel_stamp_threshold = 4096;
   /// Telemetry recorder (null or kOff = record nothing, the hot paths keep
   /// a single null-check). The recorder may be shared across several run()
   /// calls to build one multi-span trace; the run's own slice also lands in

@@ -43,9 +43,7 @@ Decomposition decompose(const Graph& g, std::uint32_t lambda,
         std::make_unique<algo::DistributedBfs>(part.graph, opts.root));
     work.push_back({&part, algs.back().get()});
   }
-  congest::RunOptions ropts;
-  ropts.max_rounds = opts.max_rounds;
-  const auto composite = congest::run_edge_disjoint(g, work, ropts);
+  const auto composite = congest::run_edge_disjoint(g, work, opts.engine);
   out.messages = composite.messages;
 
   out.trees.reserve(out.parts);

@@ -26,7 +26,9 @@ struct DecompositionOptions {
   double C = 2.0;            // the constant of Theorem 2
   std::uint64_t seed = 1;    // shared randomness
   NodeId root = 0;           // BFS root used by the validity check
-  std::uint64_t max_rounds = 10'000'000;
+  /// Engine knobs for the validity check's per-part BFS composite
+  /// (congest::run_edge_disjoint, which rejects a fault plan).
+  congest::RunOptions engine{.max_rounds = 10'000'000};
 };
 
 struct Decomposition {

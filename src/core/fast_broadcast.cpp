@@ -219,7 +219,7 @@ FastBroadcastReport run_fast_broadcast_oblivious(
     dopts.C = opts.C;
     dopts.seed = mix64(opts.seed, iter, 0x6f626c7376ULL);
     dopts.root = setup.root;
-    dopts.max_rounds = opts.engine.max_rounds;
+    dopts.engine = opts.engine;
     const Decomposition dec = decompose(g, lambda_tilde, dopts);
     report.search_rounds += dec.check_rounds;
     report.messages += dec.messages;

@@ -31,10 +31,9 @@ struct FastBroadcastOptions {
   /// Diameter-budget slack multiplier for the oblivious validity check.
   double validity_slack = 4.0;
   /// Engine knobs for every engine execution: leader election, BFS,
-  /// numbering, the per-part BFS and the pipelined broadcasts (the
-  /// oblivious variant's validation sweeps take only max_rounds). The
-  /// per-part phases run as one composite (congest::run_edge_disjoint),
-  /// which rejects a fault plan.
+  /// numbering, the per-part BFS, the pipelined broadcasts and the
+  /// oblivious variant's validation sweeps. The per-part phases run as one
+  /// composite (congest::run_edge_disjoint), which rejects a fault plan.
   congest::RunOptions engine{.max_rounds = 50'000'000};
 };
 

@@ -177,32 +177,45 @@ TEST(FastBroadcast, CutTrafficRespectsInformationBound) {
 
 TEST(FastBroadcast, ReportIdenticalAcrossEnginePoolsAndSweeps) {
   // Every engine execution of Theorem 1 (leader election, BFS, numbering,
-  // per-part BFS, pipelined broadcasts) takes the one embedded RunOptions:
-  // the report must not depend on the pool size or on the dense sweep.
+  // per-part BFS, pipelined broadcasts, and the oblivious variant's
+  // validation sweeps) takes the one embedded RunOptions: the report must
+  // not depend on the pool size or on the dense sweep.
   const Graph g = scenario::build_graph("random_regular:n=256,d=32,seed=1");
   Rng rng(7);
   const auto msgs = random_messages(g, 512, rng);
+  const auto expect_same = [](const FastBroadcastReport& got,
+                              const FastBroadcastReport& want) {
+    EXPECT_EQ(got.parts, want.parts);
+    EXPECT_EQ(got.lambda_used, want.lambda_used);
+    EXPECT_EQ(got.setup_rounds, want.setup_rounds);
+    EXPECT_EQ(got.part_bfs_rounds, want.part_bfs_rounds);
+    EXPECT_EQ(got.broadcast_rounds, want.broadcast_rounds);
+    EXPECT_EQ(got.search_rounds, want.search_rounds);
+    EXPECT_EQ(got.search_iterations, want.search_iterations);
+    EXPECT_EQ(got.total_rounds, want.total_rounds);
+    EXPECT_EQ(got.messages, want.messages);
+    EXPECT_EQ(got.max_edge_congestion, want.max_edge_congestion);
+    EXPECT_EQ(got.retries, want.retries);
+    EXPECT_EQ(got.complete, want.complete);
+  };
   const FastBroadcastReport want = run_fast_broadcast(g, 32, msgs);
   ASSERT_TRUE(want.complete) << want.str();
-  for (const bool dense : {false, true}) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
+  const FastBroadcastReport want_oblivious =
+      run_fast_broadcast_oblivious(g, msgs);
+  ASSERT_TRUE(want_oblivious.complete) << want_oblivious.str();
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    for (const bool dense : {false, true}) {
       SCOPED_TRACE(std::to_string(threads) + (dense ? " dense" : " sparse"));
-      ThreadPool pool(threads);
       FastBroadcastOptions opts;
       opts.engine.pool = &pool;
       opts.engine.force_dense = dense;
-      const FastBroadcastReport got = run_fast_broadcast(g, 32, msgs, opts);
-      EXPECT_EQ(got.parts, want.parts);
-      EXPECT_EQ(got.setup_rounds, want.setup_rounds);
-      EXPECT_EQ(got.part_bfs_rounds, want.part_bfs_rounds);
-      EXPECT_EQ(got.broadcast_rounds, want.broadcast_rounds);
-      EXPECT_EQ(got.search_rounds, want.search_rounds);
-      EXPECT_EQ(got.total_rounds, want.total_rounds);
-      EXPECT_EQ(got.messages, want.messages);
-      EXPECT_EQ(got.max_edge_congestion, want.max_edge_congestion);
-      EXPECT_EQ(got.retries, want.retries);
-      EXPECT_EQ(got.complete, want.complete);
+      expect_same(run_fast_broadcast(g, 32, msgs, opts), want);
     }
+    SCOPED_TRACE(std::to_string(threads) + " oblivious");
+    FastBroadcastOptions opts;
+    opts.engine.pool = &pool;
+    expect_same(run_fast_broadcast_oblivious(g, msgs, opts), want_oblivious);
   }
 }
 

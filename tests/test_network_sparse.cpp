@@ -13,8 +13,6 @@
 #include <atomic>
 #include <memory>
 
-#include <limits>
-
 #include "algo/bfs.hpp"
 #include "algo/convergecast.hpp"
 #include "algo/id_assignment.hpp"
@@ -441,14 +439,11 @@ TEST(SparseEngine, ClusteringDifferentialThroughEntryPoint) {
   }
 }
 
-TEST(SparseEngine, ParallelStampDeliveryBitIdentical) {
-  // The parallel delivery stamp: threshold 1 forces every stamping round
-  // onto the pool (atomic stores; CAS-claims when telemetry wants the
-  // unique-receiver count), and a threshold no round can reach pins the
-  // serial baseline. Cost, outputs, AND the telemetry counter series must
-  // be bit-identical — the with_input column is exactly the CAS-claimed
-  // receiver count. This is the test the TSAN CI job re-runs to hold the
-  // concurrent stamp stores race-free.
+TEST(SparseEngine, DeliveryBitIdenticalAcrossPools) {
+  // Batch BFS keeps enough sends in flight to take both delivery shapes
+  // (active-list build and stamp-all). Against the pool-1 sparse baseline,
+  // cost, outputs, AND the telemetry counter series must be bit-identical
+  // at every pool, sparse or dense, with telemetry on or off.
   const Graph g = scenario::build_graph("random_regular:n=600,d=4,seed=9");
   const auto sources = apps::default_sources(g, 8);
   const auto outputs = [](const algo::BatchBfs& alg) {
@@ -459,9 +454,10 @@ TEST(SparseEngine, ParallelStampDeliveryBitIdentical) {
     }
     return out;
   };
+  ThreadPool serial_pool(1);
   Telemetry tele_serial(TelemetryMode::kRounds);
   RunOptions serial;
-  serial.parallel_stamp_threshold = std::numeric_limits<std::size_t>::max();
+  serial.pool = &serial_pool;
   serial.telemetry = &tele_serial;
   algo::BatchBfs base_alg(g, sources);
   Network base_net(g);
@@ -480,7 +476,6 @@ TEST(SparseEngine, ParallelStampDeliveryBitIdentical) {
         RunOptions opts;
         opts.pool = &pool;
         opts.force_dense = force_dense;
-        opts.parallel_stamp_threshold = 1;
         if (with_tele) opts.telemetry = &tele;
         algo::BatchBfs alg(g, sources);
         Network net(g);
@@ -573,7 +568,7 @@ TEST(SparseEngine, PipelineBroadcastCompositeIdenticalAcrossPools) {
   // Every stepped node writes its worker's scratch lists, so this is the
   // composite that exercises them hardest at pool > 1. Composite and
   // per-instance cost plus every node's delivery must match the pool-1 run
-  // at every pool size, with the delivery stamp both serial and parallel.
+  // at every pool size.
   const Graph g = scenario::build_graph("random_regular:n=256,d=32,seed=1");
   constexpr std::uint32_t kParts = 4;
   const EdgePartition partition = random_edge_partition(g, kParts, 7);
@@ -592,7 +587,7 @@ TEST(SparseEngine, PipelineBroadcastCompositeIdenticalAcrossPools) {
     CompositeResult res;
     std::vector<std::uint64_t> delivery;  // per part, per node
   };
-  const auto run_at = [&](std::size_t threads, std::size_t stamp_threshold) {
+  const auto run_at = [&](std::size_t threads) {
     std::vector<std::unique_ptr<algo::PipelineBroadcast>> algs;
     std::vector<EdgeDisjointInstance> work;
     for (std::uint32_t i = 0; i < kParts; ++i) {
@@ -603,7 +598,6 @@ TEST(SparseEngine, PipelineBroadcastCompositeIdenticalAcrossPools) {
     ThreadPool pool(threads);
     RunOptions opts;
     opts.pool = &pool;
-    opts.parallel_stamp_threshold = stamp_threshold;
     Outcome out{run_edge_disjoint(g, work, opts), {}};
     for (const auto& alg : algs) {
       for (NodeId v = 0; v < g.node_count(); ++v) {
@@ -614,30 +608,26 @@ TEST(SparseEngine, PipelineBroadcastCompositeIdenticalAcrossPools) {
     return out;
   };
 
-  const std::size_t kSerialStamp = std::numeric_limits<std::size_t>::max();
-  const Outcome base = run_at(1, kSerialStamp);
+  const Outcome base = run_at(1);
   ASSERT_TRUE(base.res.finished);
   ASSERT_EQ(base.res.per_instance.size(), kParts);
   for (const std::size_t threads : kThreads) {
-    for (const std::size_t threshold : {kSerialStamp, std::size_t{1}}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "threads=" << threads << " threshold=" << threshold);
-      const Outcome got = run_at(threads, threshold);
-      EXPECT_EQ(base.res.rounds, got.res.rounds);
-      EXPECT_EQ(base.res.messages, got.res.messages);
-      EXPECT_EQ(base.res.finished, got.res.finished);
-      EXPECT_EQ(base.res.parent_edge_congestion,
-                got.res.parent_edge_congestion);
-      ASSERT_EQ(got.res.per_instance.size(), kParts);
-      for (std::uint32_t i = 0; i < kParts; ++i) {
-        SCOPED_TRACE(i);
-        EXPECT_EQ(base.res.per_instance[i].rounds,
-                  got.res.per_instance[i].rounds);
-        EXPECT_EQ(base.res.per_instance[i].arc_sends,
-                  got.res.per_instance[i].arc_sends);
-      }
-      EXPECT_EQ(base.delivery, got.delivery);
+    SCOPED_TRACE(threads);
+    const Outcome got = run_at(threads);
+    EXPECT_EQ(base.res.rounds, got.res.rounds);
+    EXPECT_EQ(base.res.messages, got.res.messages);
+    EXPECT_EQ(base.res.finished, got.res.finished);
+    EXPECT_EQ(base.res.parent_edge_congestion,
+              got.res.parent_edge_congestion);
+    ASSERT_EQ(got.res.per_instance.size(), kParts);
+    for (std::uint32_t i = 0; i < kParts; ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_EQ(base.res.per_instance[i].rounds,
+                got.res.per_instance[i].rounds);
+      EXPECT_EQ(base.res.per_instance[i].arc_sends,
+                got.res.per_instance[i].arc_sends);
     }
+    EXPECT_EQ(base.delivery, got.delivery);
   }
 }
 

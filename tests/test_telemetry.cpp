@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
@@ -365,6 +366,110 @@ TEST(Telemetry, ParallelWorkersRecordIdentically) {
   EXPECT_EQ(one.inbox_sizes.p50, eight.inbox_sizes.p50);
   EXPECT_EQ(one.inbox_sizes.max, eight.inbox_sizes.max);
   EXPECT_EQ(one.arc_congestion.max, eight.arc_congestion.max);
+}
+
+/// A flood in which every node, when first reached, forwards on all its
+/// arcs and requests a wakeup for the next round. Same-level neighbours'
+/// copies land in that wakeup round, so many nodes both receive and wake.
+/// Records the ground truth for the with_input column: a per-node flag set
+/// when the node steps with a non-empty inbox, summed single-threaded at
+/// the start of the next round.
+class FloodWithWakeups : public Algorithm {
+ public:
+  explicit FloodWithWakeups(const Graph& g)
+      : state_(g.node_count(), kUnreached),
+        heard_(g.node_count(), 0),
+        woke_with_input_(g.node_count(), 0) {}
+  std::string name() const override { return "flood-with-wakeups"; }
+  void start(Context& ctx) override {
+    if (ctx.id() == 0) reach(ctx);
+  }
+  void step(Context& ctx) override {
+    const NodeId v = ctx.id();
+    if (!ctx.inbox().empty()) heard_[v] = 1;
+    if (state_[v] == kWoken) {
+      state_[v] = kDone;
+      woke_with_input_[v] = heard_[v];
+    } else if (state_[v] == kUnreached && !ctx.inbox().empty()) {
+      reach(ctx);
+    }
+  }
+  bool done() const override {
+    return std::all_of(state_.begin(), state_.end(),
+                       [](std::uint8_t s) { return s == kDone; });
+  }
+  void round_started(std::uint64_t round) override {
+    if (round > 0) tally();
+  }
+  /// Per-round count of nodes that stepped with input; call once after the
+  /// run to close the final round.
+  const std::vector<std::uint64_t>& with_input() {
+    tally();
+    return with_input_;
+  }
+  /// Nodes whose wakeup round also delivered them messages.
+  std::uint64_t woke_with_input() const {
+    return static_cast<std::uint64_t>(
+        std::count(woke_with_input_.begin(), woke_with_input_.end(), 1));
+  }
+
+ private:
+  static constexpr std::uint8_t kUnreached = 0, kWoken = 1, kDone = 2;
+  void reach(Context& ctx) {
+    state_[ctx.id()] = kWoken;
+    for (ArcId a = ctx.arc_begin(); a < ctx.arc_end(); ++a)
+      ctx.send(a, {1, 0, 0});
+    ctx.request_wakeup();
+  }
+  void tally() {
+    with_input_.push_back(static_cast<std::uint64_t>(
+        std::count(heard_.begin(), heard_.end(), 1)));
+    std::fill(heard_.begin(), heard_.end(), 0);
+  }
+  std::vector<std::uint8_t> state_;
+  std::vector<std::uint8_t> heard_;
+  std::vector<std::uint8_t> woke_with_input_;
+  std::vector<std::uint64_t> with_input_;
+};
+
+TEST(Telemetry, WithInputMatchesNodesSteppedWithInput) {
+  // The recorded with_input column must equal the ground truth the
+  // algorithm observes. The flood's rounds take both delivery shapes
+  // (sparse rounds build an active list, the wide middle rounds stamp
+  // all), and nodes that receive and wake in one round must count once
+  // as receivers — stamping the wakeups first would hide them.
+  const Graph g = scenario::build_graph("random_regular:n=600,d=4,seed=9");
+  for (const std::size_t threads : kThreads) {
+    for (const bool force_dense : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " dense=" << force_dense);
+      ThreadPool pool(threads);
+      Telemetry tele(TelemetryMode::kRounds);
+      FloodWithWakeups alg(g);
+      RunOptions opts;
+      opts.pool = &pool;
+      opts.force_dense = force_dense;
+      opts.telemetry = &tele;
+      Network net(g);
+      const RunResult res = net.run(alg, opts);
+      ASSERT_TRUE(res.finished);
+      const std::vector<std::uint64_t>& truth = alg.with_input();
+      const std::vector<RoundSample>& series = tele.series();
+      ASSERT_EQ(series.size(), res.rounds);
+      ASSERT_EQ(truth.size(), res.rounds);
+      bool list = false, scan = false;
+      for (std::size_t i = 0; i < series.size(); ++i) {
+        EXPECT_EQ(series[i].with_input, truth[i]) << "round " << i;
+        list = list || series[i].sweep == SweepMode::kActiveList;
+        scan = scan || series[i].sweep == SweepMode::kActiveScan;
+      }
+      if (!force_dense) {
+        EXPECT_TRUE(list);
+        EXPECT_TRUE(scan);
+      }
+      EXPECT_GT(alg.woke_with_input(), 0u);
+    }
+  }
 }
 
 TEST(Telemetry, MstPhasesAppearAsSpansAndAnnotations) {
