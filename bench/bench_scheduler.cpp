@@ -1,42 +1,35 @@
 // Experiment E10 (Theorem 12, Ghaffari PODC'15): co-scheduling many tree
 // broadcasts that SHARE edges. The makespan of the store-and-forward
 // execution is compared to the congestion + dilation lower bound; random
-// start delays keep it near O(congestion + dilation log^2 n).
+// start delays keep it near O(congestion + dilation log^2 n). Congestion is
+// per arc direction (the model's one-packet-per-arc-per-round rule), so
+// makespan >= max(C, d) must hold on every row; the run exits 1 if any row
+// violates it.
 
 #include "bench_common.hpp"
 
-#include <chrono>
 #include <cmath>
 
-#include "congest/scheduler.hpp"
+#include "algo/tree_schedule.hpp"
 #include "graph/partition.hpp"
 
 namespace fc::bench {
 namespace {
 
-/// Wall-time a schedule_tree_broadcasts call — the packet-queue throughput
-/// line (the flat arena queue replaced per-arc deques; compare this column
-/// across revisions to see the per-packet heap churn go away).
-struct TimedSchedule {
-  congest::ScheduleResult result;
-  double ms = 0.0;
-  double khops_per_sec() const {
-    return ms > 0.0
-               ? static_cast<double>(result.total_packet_hops) / ms
-               : 0.0;
-  }
-};
-
-TimedSchedule timed_schedule(const Graph& g,
-                             const std::vector<congest::TreeJob>& jobs) {
-  const auto t0 = std::chrono::steady_clock::now();
-  TimedSchedule out{congest::schedule_tree_broadcasts(g, jobs), 0.0};
-  const auto t1 = std::chrono::steady_clock::now();
-  out.ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  return out;
+/// 1 (and a report on stderr) when the row's makespan undercuts the lower
+/// bound max(C, d) — impossible in the model, so any violation fails the
+/// run.
+int lower_bound_violated(const std::string& row,
+                         const algo::ScheduleResult& res) {
+  if (res.makespan >= std::max(res.congestion, res.dilation)) return 0;
+  std::cerr << "bench_scheduler: " << row << ": makespan " << res.makespan
+            << " < max(C, d) = " << std::max(res.congestion, res.dilation)
+            << "\n";
+  return 1;
 }
 
-void experiment_e10() {
+int experiment_e10() {
+  int violations = 0;
   banner("E10 / Theorem 12",
          "J jobs of p packets each down BFS trees with shared edges: "
          "makespan vs lower bound max(congestion, dilation) and the "
@@ -48,7 +41,7 @@ void experiment_e10() {
 
   Table table({"jobs", "packets", "congestion C", "dilation d",
                "makespan (no delay)", "makespan (rand delay)", "LB max(C,d)",
-               "C + d*log2^2 n", "sim ms", "khops/s"});
+               "C + d*log2^2 n"});
   for (std::uint32_t jobs : {2u, 4u, 8u, 16u}) {
     const std::uint32_t packets = 32;
     std::vector<algo::SpanningTree> trees;
@@ -57,15 +50,17 @@ void experiment_e10() {
       trees.push_back(
           algo::run_bfs(g, static_cast<NodeId>(rng.below(n))).tree);
 
-    std::vector<congest::TreeJob> naive, delayed;
+    std::vector<algo::TreeJob> naive, delayed;
     for (std::uint32_t j = 0; j < jobs; ++j) {
       naive.push_back({&trees[j], packets, 0});
       delayed.push_back({&trees[j], packets, 0});
     }
-    const auto naive_run = timed_schedule(g, naive);
-    const auto& res_naive = naive_run.result;
-    congest::randomize_delays(delayed, res_naive.congestion / 2 + 1, rng);
-    const auto res_delay = congest::schedule_tree_broadcasts(g, delayed);
+    const auto res_naive = algo::schedule_tree_broadcasts(g, naive);
+    algo::randomize_delays(delayed, res_naive.congestion / 2 + 1, rng);
+    const auto res_delay = algo::schedule_tree_broadcasts(g, delayed);
+    const std::string row = std::to_string(jobs) + " jobs";
+    violations += lower_bound_violated(row + ", no delay", res_naive);
+    violations += lower_bound_violated(row + ", rand delay", res_delay);
 
     const double log2n = std::log2(static_cast<double>(n));
     table.add_row(
@@ -77,14 +72,14 @@ void experiment_e10() {
          Table::num(std::max(res_naive.congestion, res_naive.dilation)),
          Table::num(res_naive.congestion +
                         res_naive.dilation * log2n * log2n,
-                    0),
-         Table::num(naive_run.ms, 2),
-         Table::num(naive_run.khops_per_sec(), 0)});
+                    0)});
   }
   table.print(std::cout);
+  return violations;
 }
 
-void experiment_e10_disjoint_vs_shared() {
+int experiment_e10_disjoint_vs_shared() {
+  int violations = 0;
   banner("E10b / edge-disjoint vs shared trees",
          "the Theorem 1 regime (edge-disjoint trees) schedules with ZERO "
          "interference: makespan equals one job's pipeline, while the same "
@@ -105,17 +100,20 @@ void experiment_e10_disjoint_vs_shared() {
   const auto shared = algo::run_bfs(g, 0).tree;
   const std::uint32_t packets = 64;
 
-  std::vector<congest::TreeJob> shared_jobs(
-      4, congest::TreeJob{&shared, packets, 0});
-  const auto res_shared = congest::schedule_tree_broadcasts(g, shared_jobs);
+  std::vector<algo::TreeJob> shared_jobs(4,
+                                         algo::TreeJob{&shared, packets, 0});
+  const auto res_shared = algo::schedule_tree_broadcasts(g, shared_jobs);
+  violations += lower_bound_violated("4 jobs, one shared tree", res_shared);
 
   // Disjoint case: each job alone on its own part.
   std::uint64_t disjoint_makespan = 0;
   for (std::size_t i = 0; i < trees.size(); ++i) {
     if (!ok[i]) continue;
-    std::vector<congest::TreeJob> solo{{&trees[i], packets, 0}};
-    const auto r = congest::schedule_tree_broadcasts(partition.parts[i].graph,
-                                                     solo);
+    std::vector<algo::TreeJob> solo{{&trees[i], packets, 0}};
+    const auto r = algo::schedule_tree_broadcasts(partition.parts[i].graph,
+                                                  solo);
+    violations +=
+        lower_bound_violated("edge-disjoint part " + std::to_string(i), r);
     disjoint_makespan = std::max(disjoint_makespan, r.makespan);
   }
   Table table({"configuration", "makespan"});
@@ -124,13 +122,15 @@ void experiment_e10_disjoint_vs_shared() {
   table.add_row({"4 jobs, edge-disjoint trees (Thm 2)",
                  Table::num(std::size_t{disjoint_makespan})});
   table.print(std::cout);
+  return violations;
 }
 
 // --graph=<spec> override: Theorem 12 co-scheduling on caller-chosen
 // scenarios; --jobs=<J> (default 8) BFS-tree jobs of --packets=<p>
 // (default 32) packets each.
-void experiment_specs(const std::vector<NamedGraph>& graphs,
-                      const Options& opts) {
+int experiment_specs(const std::vector<NamedGraph>& graphs,
+                     const Options& opts) {
+  int violations = 0;
   const auto jobs = static_cast<std::uint32_t>(opts.get_int("jobs", 8));
   const auto packets = static_cast<std::uint32_t>(opts.get_int("packets", 32));
   banner("E10 on custom scenarios",
@@ -152,14 +152,16 @@ void experiment_specs(const std::vector<NamedGraph>& graphs,
       trees.push_back(
           algo::run_bfs(g, static_cast<NodeId>(rng.below(g.node_count())))
               .tree);
-    std::vector<congest::TreeJob> naive, delayed;
+    std::vector<algo::TreeJob> naive, delayed;
     for (std::uint32_t j = 0; j < jobs; ++j) {
       naive.push_back({&trees[j], packets, 0});
       delayed.push_back({&trees[j], packets, 0});
     }
-    const auto res_naive = congest::schedule_tree_broadcasts(g, naive);
-    congest::randomize_delays(delayed, res_naive.congestion / 2 + 1, rng);
-    const auto res_delay = congest::schedule_tree_broadcasts(g, delayed);
+    const auto res_naive = algo::schedule_tree_broadcasts(g, naive);
+    algo::randomize_delays(delayed, res_naive.congestion / 2 + 1, rng);
+    const auto res_delay = algo::schedule_tree_broadcasts(g, delayed);
+    violations += lower_bound_violated(name + ", no delay", res_naive);
+    violations += lower_bound_violated(name + ", rand delay", res_delay);
     const double log2n = std::log2(static_cast<double>(g.node_count()));
     table.add_row(
         {name, Table::num(std::size_t{g.node_count()}),
@@ -173,18 +175,21 @@ void experiment_specs(const std::vector<NamedGraph>& graphs,
                     0)});
   }
   table.print(std::cout);
+  return violations;
 }
 
 }  // namespace
 }  // namespace fc::bench
 
 int main(int argc, char** argv) {
+  int violations = 0;
   if (const auto rc = fc::bench::spec_mode(
           "bench_scheduler", argc, argv, [&](const auto& graphs) {
-            fc::bench::experiment_specs(graphs, fc::Options(argc, argv));
+            violations =
+                fc::bench::experiment_specs(graphs, fc::Options(argc, argv));
           }))
-    return *rc;
-  fc::bench::experiment_e10();
-  fc::bench::experiment_e10_disjoint_vs_shared();
-  return 0;
+    return *rc != 0 ? *rc : violations != 0;
+  violations += fc::bench::experiment_e10();
+  violations += fc::bench::experiment_e10_disjoint_vs_shared();
+  return violations != 0;
 }

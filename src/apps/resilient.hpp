@@ -18,6 +18,16 @@
 //    flipping any payload crossing them that round;
 //  * every node decodes each message id by majority across the T copies.
 //
+// One drive, one run: the T trees are the jobs of one algo::TreeSchedule
+// engine run (tree t starts at round t * window), and the adversary's
+// schedule is lowered onto one congest::FaultPlan on the run's global
+// rounds (one kEdgeCorrupt fault per scheduled (edge, round) pair). A copy
+// counts as corrupted when the payload that ARRIVES differs from the one
+// sent. (Caveat: a copy hit j > 0 times arrives at corrupt_word^j(x), which
+// equals x only on a permutation cycle of length dividing j — astronomically
+// unlikely and deterministic.) tests/test_dynamic.cpp replays the same
+// schedule in closed form and pins the engine run against it.
+//
 // With T trees, a run decodes correctly as long as no (node, message) pair
 // has >= T/2 of its tree paths hit; the experiment (bench_resilient)
 // measures the failure rate as f grows for random, tree-targeted, and
@@ -38,29 +48,10 @@ enum class AdversaryKind {
   kCutFocused,  // f edges of a fixed small cut per round
 };
 
-/// How the broadcast is executed.
-///  * kAnalytic — closed-form replay: walk every (node, message, tree) path
-///    and test which hops coincide with the adversary's schedule. Fast; no
-///    engine involved. The historical default.
-///  * kEngine — actually run the per-tree pipelined broadcast on the
-///    CONGEST engine, with the adversary lowered onto the engine's
-///    fault-injection hook (one kEdgeCorrupt fault per scheduled
-///    (edge, round) pair, clocks aligned per tree window). A copy counts
-///    as corrupted when the payload that ARRIVES differs from the payload
-///    sent. The two drives produce identical ResilientReports — pinned by
-///    the differential test — the engine drive existing precisely to keep
-///    the analytic shortcut honest. (Caveat: a copy hit j > 0 times
-///    arrives at corrupt_word^j(x), which equals x only on a permutation
-///    cycle of length dividing j — astronomically unlikely and
-///    deterministic, so a divergence would be a reproducible test failure,
-///    not flakiness.)
-enum class ResilientDrive { kAnalytic, kEngine };
-
 struct ResilientOptions {
   AdversaryKind adversary = AdversaryKind::kRandom;
   std::uint32_t f = 0;         // corrupted edges per round
   std::uint64_t seed = 1;
-  ResilientDrive drive = ResilientDrive::kAnalytic;
   /// For kCutFocused: one side of the attacked cut (empty = first half).
   std::vector<bool> attacked_cut;
 };
@@ -76,6 +67,12 @@ struct ResilientReport {
 
   bool all_decoded() const { return decode_failures == 0; }
 };
+
+/// The adversary's per-round corruption sets for a schedule of `rounds`
+/// rounds: a pure function of (g, packing, opts), at most f edges a round.
+std::vector<std::vector<EdgeId>> corruption_schedule(
+    const Graph& g, const core::TreePacking& packing, std::uint64_t rounds,
+    const ResilientOptions& opts);
 
 /// Broadcast k root-held messages over every tree of the packing under the
 /// configured mobile adversary and majority-decode. All trees must span and

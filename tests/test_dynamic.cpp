@@ -14,9 +14,9 @@
 //    from the graph; a crash isolates the node; a fault scheduled after
 //    quiescence is a no-op; counters account drops and corruptions; bad
 //    ids throw before the run starts.
-//  * The resilient-broadcast engine drive (real kEdgeCorrupt faults)
-//    reports the exact numbers of the analytic model, adversary by
-//    adversary.
+//  * The resilient broadcast's engine run (real kEdgeCorrupt faults)
+//    reports the exact numbers of a closed-form replay of the adversary's
+//    schedule, adversary by adversary.
 //  * run_edge_disjoint applies per-instance fault plans without leakage:
 //    interleaved == sequential, the un-faulted instance is untouched, and
 //    a global plan on the composite throws.
@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -392,40 +393,106 @@ TEST(Faults, OutOfRangeIdsThrowBeforeTheRunStarts) {
   }
 }
 
-// --------------------------------------------- resilient engine drive --
+// ----------------------------------------------- resilient engine run --
 
-TEST(ResilientEngine, EngineDriveMatchesAnalyticModel) {
+/// Closed-form oracle for apps::resilient_broadcast: walk every (node,
+/// message, tree) path and test which hops coincide with the adversary's
+/// schedule. Tree t broadcasts in its own window of max_depth + k + 1
+/// rounds, so message m crosses the depth-j edge of a path in round
+/// t * window + m + j - 1; a copy is corrupted when any hop is hit, and a
+/// (node, message) slot fails when at least half of its copies are.
+apps::ResilientReport analytic_replay(const Graph& g,
+                                      const core::TreePacking& packing,
+                                      std::uint64_t k,
+                                      const apps::ResilientOptions& opts) {
+  const NodeId root = packing.trees.front().root;
+  std::uint32_t max_depth = 0;
+  for (const auto& t : packing.trees) max_depth = std::max(max_depth, t.depth);
+  apps::ResilientReport report;
+  report.trees = static_cast<std::uint32_t>(packing.trees.size());
+  report.k = k;
+  const std::uint64_t window = max_depth + k + 1;
+  report.rounds = window * report.trees;
+
+  auto schedule = apps::corruption_schedule(g, packing, report.rounds, opts);
+  for (auto& s : schedule) std::sort(s.begin(), s.end());
+  const auto hit = [&](EdgeId e, std::uint64_t round) {
+    return std::binary_search(schedule[round].begin(), schedule[round].end(),
+                              e);
+  };
+
+  std::vector<std::uint32_t> corrupted(
+      static_cast<std::size_t>(g.node_count()) * k, 0);
+  for (std::uint32_t t = 0; t < report.trees; ++t) {
+    const auto& tree = packing.trees[t];
+    const std::uint64_t offset = static_cast<std::uint64_t>(t) * window;
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      if (v == root) continue;
+      // Path edges from v up to the root, with their depth index.
+      std::vector<std::pair<EdgeId, std::uint32_t>> path;
+      for (NodeId x = v; x != root;) {
+        const ArcId pa = tree.parent_arc[x];
+        path.emplace_back(g.arc_edge(pa), tree.depth_of[x]);
+        x = g.arc_head(pa);
+      }
+      for (std::uint64_t m = 0; m < k; ++m) {
+        for (const auto& [e, depth] : path) {
+          if (hit(e, offset + m + depth - 1)) {
+            ++corrupted[static_cast<std::size_t>(v) * k + m];
+            ++report.corrupted_copies;
+            break;
+          }
+        }
+      }
+    }
+  }
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    if (v == root) continue;
+    for (std::uint64_t m = 0; m < k; ++m)
+      if (2 * corrupted[static_cast<std::size_t>(v) * k + m] >= report.trees)
+        ++report.decode_failures;
+  }
+  const double slots =
+      static_cast<double>(g.node_count() - 1) * static_cast<double>(k);
+  report.failure_rate = slots > 0 ? report.decode_failures / slots : 0;
+  return report;
+}
+
+TEST(ResilientEngine, EngineRunMatchesAnalyticReplay) {
   Rng rng(7);
   const Graph g = gen::random_regular(96, 24, rng);
   core::DecompositionOptions dopts;
   dopts.C = 1.5;
-  const auto packing = core::build_low_congestion_packing(g, 24, 5, dopts);
-  ASSERT_GE(packing.tree_count(), 3u);
+  const auto packed = core::build_low_congestion_packing(g, 24, 5, dopts);
+  ASSERT_GE(packed.tree_count(), 3u);
+  const auto single = core::build_edge_disjoint_packing(g, 4, dopts);
+  ASSERT_EQ(single.tree_count(), 1u);
 
   using apps::AdversaryKind;
-  for (const AdversaryKind kind :
-       {AdversaryKind::kNone, AdversaryKind::kRandom,
-        AdversaryKind::kTreeFocused}) {
-    for (const std::uint32_t f : {0u, 4u, 12u}) {
-      for (const std::uint64_t seed : {1ull, 9ull}) {
-        SCOPED_TRACE(std::string("kind=") +
-                     std::to_string(static_cast<int>(kind)) +
-                     " f=" + std::to_string(f) +
-                     " seed=" + std::to_string(seed));
-        apps::ResilientOptions opts;
-        opts.adversary = kind;
-        opts.f = f;
-        opts.seed = seed;
-        opts.drive = apps::ResilientDrive::kAnalytic;
-        const auto analytic = apps::resilient_broadcast(g, packing, 12, opts);
-        opts.drive = apps::ResilientDrive::kEngine;
-        const auto engine = apps::resilient_broadcast(g, packing, 12, opts);
-        EXPECT_EQ(engine.trees, analytic.trees);
-        EXPECT_EQ(engine.k, analytic.k);
-        EXPECT_EQ(engine.rounds, analytic.rounds);
-        EXPECT_EQ(engine.corrupted_copies, analytic.corrupted_copies);
-        EXPECT_EQ(engine.decode_failures, analytic.decode_failures);
-        EXPECT_EQ(engine.failure_rate, analytic.failure_rate);
+  for (const core::TreePacking* packing : {&packed, &single}) {
+    for (const AdversaryKind kind :
+         {AdversaryKind::kNone, AdversaryKind::kRandom,
+          AdversaryKind::kTreeFocused, AdversaryKind::kCutFocused}) {
+      for (const std::uint32_t f : {0u, 4u, 12u}) {
+        for (const std::uint64_t seed : {1ull, 9ull}) {
+          SCOPED_TRACE(std::string("trees=") +
+                       std::to_string(packing->tree_count()) +
+                       " kind=" + std::to_string(static_cast<int>(kind)) +
+                       " f=" + std::to_string(f) +
+                       " seed=" + std::to_string(seed));
+          apps::ResilientOptions opts;
+          opts.adversary = kind;
+          opts.f = f;
+          opts.seed = seed;
+          const auto oracle = analytic_replay(g, *packing, 12, opts);
+          const auto engine = apps::resilient_broadcast(g, *packing, 12, opts);
+          EXPECT_EQ(engine.trees, oracle.trees);
+          EXPECT_EQ(engine.k, oracle.k);
+          EXPECT_EQ(engine.rounds, oracle.rounds);
+          EXPECT_EQ(engine.corrupted_copies, oracle.corrupted_copies);
+          EXPECT_EQ(engine.decode_failures, oracle.decode_failures);
+          EXPECT_EQ(engine.failure_rate, oracle.failure_rate);
+        }
       }
     }
   }

@@ -5,9 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "algo/pipeline_broadcast.hpp"
+#include "algo/tree_schedule.hpp"
 #include "apps/weighted_apsp.hpp"
 #include "congest/network.hpp"
-#include "congest/scheduler.hpp"
 #include "core/fast_broadcast.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
@@ -172,10 +172,22 @@ TEST(EdgeCases, PipelineBroadcastManyMessagesFewNodes) {
 TEST(EdgeCases, SchedulerZeroPacketJob) {
   const Graph g = gen::path(3);
   const auto tree = algo::run_bfs(g, 0).tree;
-  std::vector<congest::TreeJob> jobs{{&tree, 0, 0}};
-  const auto res = congest::schedule_tree_broadcasts(g, jobs);
+  std::vector<algo::TreeJob> jobs{{&tree, 0, 0}};
+  const auto res = algo::schedule_tree_broadcasts(g, jobs);
   EXPECT_EQ(res.makespan, 0u);
   EXPECT_EQ(res.total_packet_hops, 0u);
+}
+
+TEST(EdgeCases, SchedulerSingleNode) {
+  // Nothing to send: delivery is the injection itself, so the makespan is
+  // the last injection round + 1.
+  const Graph g = gen::path(1);
+  const auto tree = algo::run_bfs(g, 0).tree;
+  std::vector<algo::TreeJob> jobs{{&tree, 3, 2}};
+  const auto res = algo::schedule_tree_broadcasts(g, jobs);
+  EXPECT_EQ(res.makespan, 5u);
+  EXPECT_EQ(res.total_packet_hops, 0u);
+  EXPECT_EQ(res.congestion, 0u);
 }
 
 }  // namespace
