@@ -13,6 +13,8 @@
 // then drains the burst's responses — with --window > 1 the daemon
 // coalesces same-graph bfs/sssp queries inside a window into one batch
 // execution, so open-loop throughput shows what the batching window buys.
+// Its latency is per query, from its send to its response (matched by id),
+// so a query's wait behind its burst-mates counts.
 //
 // Overload mode measures serving under duress: an unloaded closed-loop
 // baseline, then the same workload offered in back-to-back bursts (well
@@ -28,7 +30,9 @@
 //
 // Every response line is JSON-validated (fc::parse_json + ok check): the
 // benchmark doubles as an end-to-end protocol check, and --smoke exits
-// nonzero when any response fails to parse or reports an error.
+// nonzero when any response fails to parse or reports an error, or when a
+// phase with answers reports a zero latency p50 (a latency that was never
+// recorded).
 //
 // Results land in BENCH_serve.json (one row per measured phase) next to
 // the table on stdout.
@@ -183,12 +187,14 @@ struct PhaseResult {
   std::uint64_t deadline_exceeded = 0;
   std::uint64_t retries = 0;
   double seconds = 0;
-  fc::congest::HistogramSummary latency_us;  // closed + overload loops
+  fc::congest::HistogramSummary latency_us;
 };
 
-/// Validate one response line; tallies into `r`. Returns false only on a
-/// line that is not valid JSON (protocol breakage, not a typed error).
-bool tally(const std::string& line, PhaseResult& r) {
+/// Validate one response line; tallies into `r` and stores the response
+/// id in `*id` when asked. Returns false only on a line that is not valid
+/// JSON (protocol breakage, not a typed error).
+bool tally(const std::string& line, PhaseResult& r,
+           std::uint64_t* id = nullptr) {
   fc::JsonValue v;
   try {
     v = fc::parse_json(line);
@@ -196,6 +202,7 @@ bool tally(const std::string& line, PhaseResult& r) {
     ++r.invalid;
     return false;
   }
+  if (id != nullptr) *id = static_cast<std::uint64_t>(v.num("id"));
   if (v.flag("ok")) {
     ++r.ok;
     if (v.flag("cache_hit")) ++r.cache_hits;
@@ -488,15 +495,21 @@ int main(int argc, char** argv) {
     PhaseResult r;
     r.label = "open burst=" + std::to_string(burst);
     r.requests = requests;
+    std::vector<std::uint64_t> lat_us;
+    lat_us.reserve(requests);
+    std::map<std::uint64_t, Clock::time_point> sent_at;  // by query id
     const auto begin = Clock::now();
     std::uint64_t sent = 0, received = 0;
     while (received < requests && protocol_ok) {
       const std::uint64_t batch =
           std::min<std::uint64_t>(burst, requests - sent);
-      for (std::uint64_t i = 0; i < batch; ++i, ++sent)
-        if (!pipe.send(query_line(next_id++, spec,
-                                  algos[sent % algos.size()], sent)))
+      for (std::uint64_t i = 0; i < batch; ++i, ++sent) {
+        const std::uint64_t id = next_id++;
+        sent_at[id] = Clock::now();
+        if (!pipe.send(
+                query_line(id, spec, algos[sent % algos.size()], sent)))
           protocol_ok = false;
+      }
       // A window smaller than the burst flushes on its own; otherwise ask.
       if (window > 1 && !pipe.send("{\"cmd\": \"flush\"}"))
         protocol_ok = false;
@@ -506,10 +519,23 @@ int main(int argc, char** argv) {
           protocol_ok = false;
           break;
         }
-        if (!tally(resp, r)) protocol_ok = false;
+        std::uint64_t id = 0;
+        if (!tally(resp, r, &id)) {
+          protocol_ok = false;
+          break;
+        }
+        const auto it = sent_at.find(id);
+        if (it == sent_at.end()) {
+          ++r.invalid;
+          protocol_ok = false;
+          break;
+        }
+        lat_us.push_back(ns_since(it->second) / 1000);
+        sent_at.erase(it);
       }
     }
     r.seconds = static_cast<double>(ns_since(begin)) * 1e-9;
+    r.latency_us = congest::summarize_counts(lat_us);
     phases.push_back(std::move(r));
   } else {
     // Unloaded baseline and the no-shed overload run share the default
@@ -598,12 +624,19 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (smoke) {
-    for (const PhaseResult& r : phases)
+    for (const PhaseResult& r : phases) {
       if (r.ok != r.requests || r.errors != 0 || r.invalid != 0) {
         std::cerr << "bench_serve: smoke failed (" << r.ok << "/"
                   << r.requests << " ok)\n";
         return 1;
       }
+      if (r.ok > 0 && r.latency_us.p50 == 0) {
+        std::cerr << "bench_serve: smoke failed (phase '" << r.label
+                  << "' answered " << r.ok << " queries but recorded no "
+                  << "latency)\n";
+        return 1;
+      }
+    }
   }
   return 0;
 }

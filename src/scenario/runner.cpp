@@ -179,8 +179,8 @@ ScenarioResult run_leader_scenario(const Graph& g, const ScenarioConfig& cfg) {
   return r;
 }
 
-/// Tree and single-source workloads (broadcast, convergecast, mst, sssp)
-/// need a connected graph, but scenario families like R-MAT are naturally
+/// Tree workloads (broadcast, convergecast, mst, weighted-apsp) need a
+/// connected graph, but scenario families like R-MAT are naturally
 /// disconnected. Restrict such runs to the root's component (relabelled to
 /// dense ids via the shared fc::restrict_to_component rule) and record the
 /// restriction in the note, instead of refusing the workload. `induced` is
@@ -195,8 +195,8 @@ struct Workload {
   }
 };
 
-std::string restriction_note(const ComponentRestriction& r, NodeId n) {
-  return " cc=" + std::to_string(r.reached) + "/" + std::to_string(n);
+std::string restriction_note(NodeId reached, NodeId n) {
+  return " cc=" + std::to_string(reached) + "/" + std::to_string(n);
 }
 
 Workload root_component(const Graph& g, NodeId root) {
@@ -204,7 +204,7 @@ Workload root_component(const Graph& g, NodeId root) {
   ComponentRestriction r = restrict_to_component(g, root);
   if (r.is_identity(g)) return w;
   w.root = r.root;
-  w.note = restriction_note(r, g.node_count());
+  w.note = restriction_note(r.reached, g.node_count());
   w.induced = std::move(r.graph);
   return w;
 }
@@ -270,43 +270,30 @@ ScenarioResult run_convergecast_scenario(const Graph& full,
 }
 
 /// Weighted counterpart of Workload/root_component: the same shared
-/// restriction, carrying edge weights over via kept_edges. The relabelling
-/// (new_id, kept_edges) is retained so payload capture can scatter results
-/// back into FULL-graph ids; both are empty for an identity restriction.
+/// restriction, carrying edge weights over via kept_edges. `kept_edges` is
+/// retained so mst's payload can map tree edges back to FULL-graph ids; it
+/// is empty for an identity restriction.
 struct WeightedWorkload {
   NodeId root;
   std::optional<WeightedGraph> induced;  // engaged only when restricted
   std::string note;
-  std::vector<NodeId> new_id;      // full node id -> run id (empty=identity)
   std::vector<EdgeId> kept_edges;  // run EdgeId -> full EdgeId
   const WeightedGraph& get(const WeightedGraph& full) const {
     return induced ? *induced : full;
-  }
-  /// Scatter a run-graph distance vector back to full-graph ids; nodes
-  /// outside the run component stay at kInfWeight — exactly the distances
-  /// an unrestricted single-source run would report.
-  std::vector<Weight> full_distances(const std::vector<Weight>& run_dist,
-                                     NodeId full_n) const {
-    if (!induced) return run_dist;
-    std::vector<Weight> out(full_n, kInfWeight);
-    for (NodeId v = 0; v < full_n; ++v)
-      if (new_id[v] != kInvalidNode) out[v] = run_dist[new_id[v]];
-    return out;
   }
 };
 
 WeightedWorkload weighted_root_component(const WeightedGraph& wg,
                                          NodeId root) {
   const Graph& g = wg.graph();
-  WeightedWorkload w{root, std::nullopt, "", {}, {}};
+  WeightedWorkload w{root, std::nullopt, "", {}};
   ComponentRestriction r = restrict_to_component(g, root);
   if (r.is_identity(g)) return w;
   std::vector<Weight> weights;
   weights.reserve(r.kept_edges.size());
   for (const EdgeId e : r.kept_edges) weights.push_back(wg.weight(e));
   w.root = r.root;
-  w.note = restriction_note(r, g.node_count());
-  w.new_id = std::move(r.new_id);
+  w.note = restriction_note(r.reached, g.node_count());
   w.kept_edges = std::move(r.kept_edges);
   w.induced = WeightedGraph(std::move(r.graph), std::move(weights));
   return w;
@@ -374,38 +361,62 @@ ScenarioResult run_mst_scenario(const WeightedGraph& full,
   return r;
 }
 
-ScenarioResult run_sssp_scenario(const WeightedGraph& full,
+/// sssp runs on the FULL graph, on the caller's warm engine when it is
+/// bound to it: the engine steps only nodes that receive a message, so
+/// Bellman–Ford touches exactly the root's component, with the same
+/// rounds, sends and tie-breaks as a run on the restricted copy (the
+/// restriction relabels monotonically and keeps edges in id order). The
+/// report stays the component's: a serial BFS marks the members, and
+/// nodes, edges, the arc percentiles and the ` cc=` note count only them.
+/// Fault ids and payload distances are full-graph ids.
+ScenarioResult run_sssp_scenario(const WeightedGraph& wg,
                                  const ScenarioConfig& cfg) {
+  const Graph& g = wg.graph();
+  const NodeId root = checked_root(g, cfg);
+  const std::vector<std::uint32_t> hops = bfs_distances(g, root);
+  NodeId size = 0;
+  for (const std::uint32_t d : hops) size += d != kUnreached;
+  const std::string cc =
+      size == g.node_count() ? "" : restriction_note(size, g.node_count());
+
   ScenarioResult r;
-  const WeightedWorkload w =
-      weighted_root_component(full, checked_root(full.graph(), cfg));
-  const WeightedGraph& g = w.get(full);
-  if (g.graph().node_count() < 2) {
-    r.nodes = g.graph().node_count();
+  r.nodes = size;
+  if (size < 2) {
     r.finished = true;
-    r.note = "trivial component" + w.note;
+    r.note = "trivial component" + cc;
     if (cfg.payload != nullptr) {
-      std::vector<Weight> dist(full.graph().node_count(), kInfWeight);
-      dist[cfg.root] = 0;
+      std::vector<Weight> dist(g.node_count(), kInfWeight);
+      dist[root] = 0;
       cfg.payload->distances.push_back(std::move(dist));
-      cfg.payload->sources = {cfg.root};
+      cfg.payload->sources = {root};
     }
     return r;
   }
-  const auto rep = apps::distributed_sssp(
-      g, w.root, {.engine = cfg.engine, .network = cfg.network});
+  auto rep = apps::distributed_sssp(
+      wg, root, {.engine = cfg.engine, .network = cfg.network});
   r.rounds = rep.rounds;
   r.messages = rep.messages;
   r.finished = rep.finished;
   r.cancelled = rep.cancelled;
-  finish(r, g.graph(), rep.arc_sends);
+  // Arcs outside the component never send, so the maxima are the same
+  // over the full arc vector; the percentiles must not see their zeros.
+  std::vector<std::uint64_t> member_sends;
+  for (NodeId v = 0; v < g.node_count(); ++v)
+    if (hops[v] != kUnreached)
+      for (ArcId a = g.arc_begin(v); a < g.arc_end(v); ++a)
+        member_sends.push_back(rep.arc_sends[a]);
+  r.edges = static_cast<EdgeId>(member_sends.size() / 2);
+  r.max_arc_congestion = congest::max_arc_congestion(rep.arc_sends);
+  r.max_edge_congestion = congest::max_edge_congestion(g, rep.arc_sends);
+  const congest::HistogramSummary h = congest::summarize_counts(member_sends);
+  r.arc_p50 = h.p50;
+  r.arc_p99 = h.p99;
   if (cfg.payload != nullptr) {
-    cfg.payload->distances.push_back(
-        w.full_distances(rep.dist, full.graph().node_count()));
-    cfg.payload->sources = {cfg.root};
+    cfg.payload->distances.push_back(std::move(rep.dist));
+    cfg.payload->sources = {root};
   }
   r.note = "reached=" + std::to_string(rep.reached) +
-           " max_dist=" + std::to_string(rep.max_dist) + w.note;
+           " max_dist=" + std::to_string(rep.max_dist) + cc;
   return r;
 }
 

@@ -30,10 +30,10 @@ enum class SourceMode { kUnset, kFirst, kRandom };
 /// Optional typed-result capture for callers that need the algorithm's
 /// actual OUTPUT (the serve layer's typed responses), not just the cost
 /// measures. Always expressed in the ids of the graph the caller passed in:
-/// scenarios that internally restrict to the root's component scatter their
-/// results back through the relabelling, with unreachable nodes left at
-/// kInfWeight / algo::kUnreached — exactly what an unrestricted run would
-/// report. Capture never changes the execution or the ScenarioResult.
+/// bfs and sssp run on that graph itself, with unreachable nodes at
+/// algo::kUnreached / kInfWeight; mst runs on the root's component and maps
+/// its tree edges back through the relabelling. Capture never changes the
+/// execution or the ScenarioResult.
 struct ScenarioPayload {
   /// Per-query weighted distances (sssp: one entry; batch-sssp: k entries).
   std::vector<std::vector<Weight>> distances;
@@ -97,14 +97,18 @@ struct ScenarioConfig {
   /// run, so a permanent fault (crash/drop) at round r recurs at each
   /// phase's round r rather than persisting across the phase boundary.
   /// Fault ids are interpreted against the graph the engine actually runs
-  /// on: a scenario that restricts to the root's component applies them to
-  /// the RESTRICTED ids, so plans are best paired with connected graphs
-  /// (`largest_cc=1`).
+  /// on. bfs, batch-bfs, leader-election and sssp run on the graph the
+  /// caller passed in, so their plans name FULL-graph ids. broadcast and
+  /// convergecast restrict to the root's component on a disconnected graph
+  /// and apply the plan to the RESTRICTED ids, so pair their plans with
+  /// connected graphs (`largest_cc=1`).
   congest::RunOptions engine{.max_rounds = 10'000'000};
   /// Warm engine to reuse (serve layer's Network pool): engaged only when
   /// it is bound to EXACTLY the graph a scenario would run on (same Graph
-  /// object; scenarios that restrict to the root's component fall back to a
-  /// fresh local engine for the restricted copy). Network::run fully resets
+  /// object). bfs, batch-bfs, leader-election, sssp and batch-sssp run on
+  /// the caller's graph and use it; broadcast and convergecast use it only
+  /// on a connected graph (they run a restricted copy otherwise); mst and
+  /// weighted-apsp always build their own. Network::run fully resets
   /// per-run state, so reuse is safe and bit-identical — it saves the
   /// adjacency-sized slot/arena allocations, not determinism.
   congest::Network* network = nullptr;

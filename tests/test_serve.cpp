@@ -150,6 +150,36 @@ TEST(ServePool, WarmHitReusesGraphAndEngine) {
   EXPECT_EQ(warm.str("note", ""), cold.str("note", ""));
 }
 
+TEST(ServePool, WarmSsspReusesEngine) {
+  // A disconnected weighted spec: sssp runs on the pooled full graph and
+  // reports the root's component, so the warm query reuses the pooled
+  // Network. mst still restricts to the component and builds its own
+  // engines, so it never reuses the pooled one.
+  Service service(ServiceOptions{});
+  const std::string spec = "rmat:n=256,deg=3,seed=2,weights=1..9";
+  const std::string line = query_line(spec, "sssp", "\"root\": 3");
+
+  const JsonValue cold = submit_one(service, line);
+  EXPECT_TRUE(cold.flag("ok")) << cold.str("message", "");
+  EXPECT_FALSE(cold.flag("engine_reused"));
+  EXPECT_NE(cold.str("note", "").find(" cc="), std::string::npos);
+
+  const JsonValue warm = submit_one(service, line);
+  EXPECT_TRUE(warm.flag("cache_hit"));
+  EXPECT_TRUE(warm.flag("engine_reused"));
+  for (const char* key : {"nodes", "edges", "rounds", "messages",
+                          "max_arc_congestion", "max_edge_congestion",
+                          "arc_p50", "arc_p99"})
+    EXPECT_EQ(warm.num(key), cold.num(key)) << key;
+  EXPECT_EQ(warm.flag("finished"), cold.flag("finished"));
+  EXPECT_EQ(warm.str("note", ""), cold.str("note", ""));
+
+  const JsonValue mst = submit_one(service, query_line(spec, "mst"));
+  EXPECT_TRUE(mst.flag("ok")) << mst.str("message", "");
+  EXPECT_TRUE(mst.flag("cache_hit"));
+  EXPECT_FALSE(mst.flag("engine_reused"));
+}
+
 TEST(ServePool, CapacityOneEvictsLeastRecentlyUsed) {
   ServiceOptions sopts;
   sopts.pool_capacity = 1;
