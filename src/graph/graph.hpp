@@ -46,8 +46,11 @@ class Graph {
   /// endpoints >= n: the library works with *simple* graphs only (the paper's
   /// Lemma 5 provably fails on multigraphs; see its footnote 1).
   ///
-  /// Construction cost is O(n + m) work plus O(sum_v deg(v) log deg(v)) for
-  /// the duplicate-edge check. Large edge lists build in parallel on
+  /// Construction cost is O(n + m) work: the duplicate-edge check stamps
+  /// each node's neighbours into a per-node mark array, with no hashing or
+  /// sorting. Self-loops and out-of-range endpoints are reported first, for
+  /// the earliest such edge in input order; duplicates are checked after
+  /// every edge passed. Large edge lists build in parallel on
   /// ThreadPool::parallel_chunks (per-chunk degree histograms, prefix-sum
   /// offsets, per-chunk cursor scatter) with O(T * n) transient scratch for
   /// a T-thread pool. The layout is DETERMINISTIC: the arc at CSR position
@@ -69,10 +72,10 @@ class Graph {
                           std::span<const std::pair<NodeId, NodeId>> edges,
                           ThreadPool& pool);
 
-  /// The single-threaded reference implementation (hash-set duplicate
-  /// detection). Public as the determinism oracle for the parallel-CSR
-  /// tests and microbenchmarks; from_edges() picks it automatically for
-  /// small inputs.
+  /// The single-threaded reference implementation, with the same layout
+  /// and the same errors. Public as the determinism oracle for the
+  /// parallel-CSR tests and microbenchmarks; from_edges() picks it
+  /// automatically below the cutover.
   static Graph from_edges_serial(
       NodeId n, std::span<const std::pair<NodeId, NodeId>> edges);
 

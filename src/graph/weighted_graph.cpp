@@ -11,7 +11,10 @@ namespace fc {
 
 namespace {
 
-// Mirrors the Graph::from_edges serial/parallel cutover.
+// The same value as Graph::from_edges' cutover, so a weighted build is
+// either serial or parallel throughout. The scan alone would not need it
+// this low: a serial scan keeps up with a 4-thread scan up to about 2^17
+// weights.
 constexpr std::size_t kParallelWeightThreshold = std::size_t{1} << 15;
 
 // Workers only record a flag; the calling thread throws after the join.

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -41,14 +42,6 @@ void write_u64(std::ofstream& out, std::uint64_t v) {
 std::uint32_t read_u32(std::ifstream& in, const std::string& path,
                        const std::string& field) {
   std::uint32_t v = 0;
-  if (!in.read(reinterpret_cast<char*>(&v), sizeof v))
-    io_fail(path, "truncated while reading " + field);
-  return v;
-}
-
-std::uint64_t read_u64(std::ifstream& in, const std::string& path,
-                       const std::string& field) {
-  std::uint64_t v = 0;
   if (!in.read(reinterpret_cast<char*>(&v), sizeof v))
     io_fail(path, "truncated while reading " + field);
   return v;
@@ -169,22 +162,31 @@ Graph load_binary(const std::string& path) {
   d.word(version);
   d.word(n);
   d.word(m);
-  std::vector<std::pair<NodeId, NodeId>> edges(m);
-  for (std::uint32_t e = 0; e < m; ++e) {
-    edges[e].first = read_u32(in, path, "edge sources");
-    d.word(edges[e].first);
-  }
-  for (std::uint32_t e = 0; e < m; ++e) {
-    edges[e].second = read_u32(in, path, "edge targets");
-    d.word(edges[e].second);
-  }
-  const std::uint64_t stored = read_u64(in, path, "checksum");
+  // The rest of the file in one read: edge_u[m], edge_v[m], then the u64
+  // checksum as two words.
+  std::vector<std::uint32_t> words(2ull * m + 2);
+  if (!in.read(reinterpret_cast<char*>(words.data()),
+               static_cast<std::streamsize>(words.size() * sizeof(words[0]))))
+    io_fail(path, "truncated while reading edges and checksum");
+  for (std::uint64_t i = 0; i < 2ull * m; ++i) d.word(words[i]);
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, words.data() + 2ull * m, sizeof stored);
   if (stored != d.h)
     io_fail(path, "checksum mismatch (file corrupt or partially written)");
   char extra = 0;
   if (in.read(&extra, 1))
     io_fail(path, "trailing bytes after checksum");
-  return Graph::from_edges(n, edges);
+  std::vector<std::pair<NodeId, NodeId>> edges(m);
+  for (std::uint32_t e = 0; e < m; ++e)
+    edges[e] = {words[e], words[std::size_t{m} + e]};
+  words = {};  // freed before the CSR build allocates
+  // A checksummed file can still hold a graph the library rejects (written
+  // by another tool, or by hand); report it like any other bad file.
+  try {
+    return Graph::from_edges(n, edges);
+  } catch (const std::invalid_argument& err) {
+    io_fail(path, err.what());
+  }
 }
 
 namespace {

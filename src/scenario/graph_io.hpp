@@ -10,9 +10,14 @@
 //   u32 edge_u[m]     | u32 edge_v[m]
 //   u64 checksum      (mix64 chain over everything above)
 //
-// Loaders never trust the file: magic, version, size and checksum are all
-// validated and failures throw std::runtime_error with the reason — a
-// truncated or stale cache regenerates instead of corrupting an experiment.
+// load_binary reads the 16-byte header, checks the promised size against
+// the real file size, then reads the edge arrays and the checksum with one
+// read and digests that buffer. Loaders never trust the file: magic,
+// version, size, checksum and trailing bytes are all validated, and so is
+// the graph itself (a checksummed file holding a self-loop or duplicate
+// edge is rejected too). Every failure throws std::runtime_error with the
+// reason — a truncated or stale cache regenerates instead of corrupting an
+// experiment.
 //
 // A corpus directory additionally carries a `manifest.txt` ledger: one
 // tab-separated line per cached graph,

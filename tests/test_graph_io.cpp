@@ -4,8 +4,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.hpp"
+#include "util/rng.hpp"
 
 namespace fc::scenario {
 namespace {
@@ -33,6 +38,45 @@ void expect_identical(const Graph& a, const Graph& b) {
 }
 
 Graph sample_graph() { return build_graph("rmat:n=256,deg=8,seed=3"); }
+
+/// Write a v1 `.fcg` file by hand, with a valid checksum, for an edge list
+/// save_binary could never produce (save_binary only sees valid graphs).
+void write_raw_fcg(const std::string& path, std::uint32_t n,
+                   const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  std::vector<std::uint32_t> words = {0x46434752, 1, n,
+                                      static_cast<std::uint32_t>(edges.size())};
+  for (const auto& e : edges) words.push_back(e.first);
+  for (const auto& e : edges) words.push_back(e.second);
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (const std::uint32_t w : words) h = mix64(h, w);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(words.data()),
+            static_cast<std::streamsize>(words.size() * sizeof(words[0])));
+  out.write(reinterpret_cast<const char*>(&h), sizeof h);
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// "" when load_binary throws std::runtime_error (the documented type);
+/// otherwise what went wrong instead.
+std::string load_fails_cleanly(const std::string& path) {
+  try {
+    load_binary(path);
+    return "loaded without error";
+  } catch (const std::runtime_error&) {
+    return "";
+  } catch (const std::exception& err) {
+    return std::string("wrong exception type: ") + err.what();
+  }
+}
 
 TEST(EdgeListIo, RoundTrip) {
   const Graph g = sample_graph();
@@ -95,11 +139,16 @@ TEST(BinaryIo, ChecksumCatchesCorruption) {
 }
 
 TEST(BinaryIo, RejectsTruncation) {
-  const Graph g = sample_graph();
+  // Every 4-byte boundary: inside the header, edge_u[], edge_v[] and the
+  // checksum.
   const auto path = temp_path("trunc.fcg");
-  save_binary(g, path);
-  fs::resize_file(path, fs::file_size(path) / 2);
-  EXPECT_THROW(load_binary(path), std::runtime_error);
+  save_binary(gen::cycle(10), path);
+  const std::string bytes = read_bytes(path);
+  ASSERT_EQ(bytes.size(), 16u + 8u * 10u + 8u);
+  for (std::size_t len = 0; len < bytes.size(); len += 4) {
+    write_bytes(path, bytes.substr(0, len));
+    EXPECT_EQ(load_fails_cleanly(path), "") << "truncated to " << len;
+  }
 }
 
 TEST(BinaryIo, RejectsBadMagicAndVersion) {
@@ -126,6 +175,56 @@ TEST(BinaryIo, RejectsBadMagicAndVersion) {
   } catch (const std::runtime_error& err) {
     EXPECT_NE(std::string(err.what()).find("version"), std::string::npos);
   }
+}
+
+TEST(BinaryIo, OneBitFlipInEveryWordThrowsRuntimeError) {
+  // Header (magic, version, n, m), edge_u[], edge_v[] and both checksum
+  // words, every bit of each.
+  const auto path = temp_path("flip_every.fcg");
+  save_binary(gen::cycle(10), path);
+  const std::string bytes = read_bytes(path);
+  for (std::size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
+    std::string damaged = bytes;
+    damaged[bit / 8] = static_cast<char>(damaged[bit / 8] ^ (1 << (bit % 8)));
+    write_bytes(path, damaged);
+    EXPECT_EQ(load_fails_cleanly(path), "")
+        << "word " << bit / 32 << ", bit " << bit % 32;
+  }
+}
+
+TEST(BinaryIo, ChecksummedInvalidGraphThrowsRuntimeError) {
+  const auto path = temp_path("invalid_graph.fcg");
+  const std::vector<std::pair<std::vector<std::pair<NodeId, NodeId>>,
+                              std::string>>
+      cases = {{{{0, 1}, {1, 2}, {2, 1}}, "duplicate edge"},
+               {{{0, 1}, {2, 2}}, "self-loop"},
+               {{{0, 1}, {1, 7}}, "endpoint >= n"}};
+  for (const auto& [edges, reason] : cases) {
+    write_raw_fcg(path, 4, edges);
+    try {
+      load_binary(path);
+      ADD_FAILURE() << "expected " << reason;
+    } catch (const std::runtime_error& err) {
+      EXPECT_NE(std::string(err.what()).find(reason), std::string::npos)
+          << err.what();
+    }
+  }
+}
+
+TEST(Corpus, ChecksummedInvalidGraphIsQuarantinedAndRegenerated) {
+  const auto dir = temp_path("corpus_invalid_graph");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto spec = GraphSpec::parse("cycle:n=12");
+  const std::string file = (fs::path(dir) / cache_file_name(spec)).string();
+  write_raw_fcg(file, 12, {{0, 1}, {1, 2}, {2, 1}});
+
+  bool from_cache = true;
+  const Graph g = load_or_generate(spec, dir, &from_cache);
+  EXPECT_FALSE(from_cache);
+  EXPECT_TRUE(fs::exists(file + ".bad"));
+  expect_identical(g, build_graph("cycle:n=12"));
+  expect_identical(g, load_binary(file));
 }
 
 TEST(Corpus, LoadOrGenerateCachesAndReloads) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -132,6 +133,57 @@ TEST(ParallelCsr, RejectsDuplicateEdgesEitherOrientation) {
       FAIL() << "expected invalid_argument";
     } catch (const std::invalid_argument& err) {
       EXPECT_STREQ(err.what(), "Graph: duplicate edge (simple graphs only)");
+    }
+  }
+}
+
+/// The message `build` throws, or "" when it succeeds.
+template <typename Build>
+std::string error_of(Build build) {
+  try {
+    build();
+  } catch (const std::invalid_argument& err) {
+    return err.what();
+  }
+  return "";
+}
+
+TEST(ParallelCsr, SerialAndParallelAgreeOnMixedBadInput) {
+  // Self-loops and out-of-range endpoints win over duplicates wherever
+  // they sit in the input: both paths validate every edge first, then
+  // look for duplicates in the finished CSR.
+  struct Case {
+    NodeId n;
+    EdgeList edges;
+    const char* expected;
+  };
+  EdgeList dup_then_loop = scrambled_edges(500, 8);
+  dup_then_loop.insert(dup_then_loop.begin(), dup_then_loop[5]);
+  dup_then_loop.back() = {42, 42};
+  EdgeList dup_then_range = scrambled_edges(500, 9);
+  dup_then_range.insert(dup_then_range.begin() + 1,
+                        {dup_then_range[0].second, dup_then_range[0].first});
+  dup_then_range[dup_then_range.size() - 2] = {500, 3};
+  const std::vector<Case> cases = {
+      {5, {{1, 2}, {2, 1}, {3, 3}}, "Graph: self-loop"},
+      {5, {{0, 1}, {1, 0}, {2, 9}}, "Graph: endpoint >= n"},
+      {5,
+       {{1, 2}, {3, 4}, {2, 1}},
+       "Graph: duplicate edge (simple graphs only)"},
+      {500, dup_then_loop, "Graph: self-loop"},
+      {500, dup_then_range, "Graph: endpoint >= n"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.expected);
+    EXPECT_EQ(error_of([&] { Graph::from_edges_serial(c.n, c.edges); }),
+              c.expected);
+    EXPECT_EQ(error_of([&] { Graph::from_edges(c.n, c.edges); }),
+              c.expected);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(threads);
+      ThreadPool pool(threads);
+      EXPECT_EQ(error_of([&] { Graph::from_edges(c.n, c.edges, pool); }),
+                c.expected);
     }
   }
 }
